@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Generator, Word, exponent_sum
 
@@ -276,10 +277,12 @@ def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
     free_col = rank  # single zero column of S, after the d_i = 1 block
     images = {g: V[j, free_col] for j, g in enumerate(P.alphabet)}
     lead = next((images[g] for g in P.alphabet if images[g] != 0), None)
-    assert lead is not None, "rank-1 free part must be hit by some generator"
+    if lead is None:
+        raise CertificateError("rank-1 free part must be hit by some generator")
     if lead < 0:
         images = {g: -x for g, x in images.items()}
-    assert gcd(*images.values()) == 1 if len(images) > 1 else abs(lead) == 1
+    if (gcd(*images.values()) if len(images) > 1 else abs(lead)) != 1:
+        raise CertificateError("generator images do not generate Z")
     return images
 
 

@@ -219,11 +219,7 @@ def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tu
 
 
 def _sweep_worker(job: tuple) -> dict:
-    presentation_text, meridian_text, longitude_text, p, q, epsilon, max_cosets = job
-    P = parse_presentation(presentation_text)
-    data = PochetteEmbeddingData(
-        P, parse_word(meridian_text, P.alphabet), parse_word(longitude_text, P.alphabet)
-    )
+    data, p, q, epsilon, max_cosets = job
     inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), Budgets(max_cosets=max_cosets))
     return {
         "p": p,
@@ -278,17 +274,13 @@ def _cmd_sweep(args) -> int:
     P, default_m, default_l = _load_source(args.source)
     meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
     longitude, longitude_text = _require_word(P, args.longitude, default_l, "longitude")
-    PochetteEmbeddingData(P, meridian, longitude)  # validate once up front
+    data = PochetteEmbeddingData(P, meridian, longitude)
     p_range = _parse_range(args.p_range)
     q_range = _parse_range(args.q_range)
     slopes = _sweep_slopes(p_range, q_range)
     budgets = Budgets.from_env()
     max_cosets = args.max_cosets or budgets.max_cosets
-    presentation_text = format_presentation(P)
-    jobs = [
-        (presentation_text, meridian_text, longitude_text, p, q, args.framing, max_cosets)
-        for p, q in slopes
-    ]
+    jobs = [(data, p, q, args.framing, max_cosets) for p, q in slopes]
     start = time.perf_counter()
     if args.jobs > 1 and jobs:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Word
 
@@ -255,9 +256,11 @@ def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
     """Certify the completion claim: all scans must return to their start."""
     for c in range(len(table.rows)):
         for rel in P.relators:
-            assert table.trace(c, rel) == c, "relator trace failed to close"
+            if table.trace(c, rel) != c:
+                raise CertificateError("relator trace failed to close")
     for w in subgroup:
-        assert table.trace(0, w) == 0, "subgroup generator left coset 0"
+        if table.trace(0, w) != 0:
+            raise CertificateError("subgroup generator left coset 0")
 
 
 @dataclass(frozen=True)

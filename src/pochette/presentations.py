@@ -6,6 +6,7 @@ cyclic permutation and inversion) dropped at construction time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,14 +52,42 @@ def _rotations(letters: tuple) -> Iterable[tuple]:
         yield letters[k:] + letters[:k]
 
 
+def _least_rotation(s: tuple) -> tuple:
+    """The lexicographically least rotation of s, in O(len(s)).
+
+    Booth's algorithm (K. S. Booth, "Lexicographically least circular
+    substrings", IPL 1980): a Knuth-Morris-Pratt failure function over
+    s + s, restarted whenever a smaller candidate start appears.
+    """
+    doubled = s + s
+    failure = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = failure[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if c != doubled[k + i + 1]:  # here i == -1
+            if c < doubled[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return s[k:] + s[:k]
+
+
 def _relator_key(w: Word) -> tuple:
-    """Canonical key identifying a relator up to rotation and inversion."""
+    """Canonical key identifying a relator up to rotation and inversion.
+
+    The least rotation of the (name, sign) sequence of the cyclic
+    reduction or of its inverse, whichever is smaller; linear time.
+    """
     r = cyclically_reduce(w)
-    candidates = [tuple((g.name, s) for g, s in rot) for rot in _rotations(r.letters)]
-    candidates += [
-        tuple((g.name, s) for g, s in rot) for rot in _rotations(invert(r).letters)
-    ]
-    return min(candidates)
+    return min(
+        _least_rotation(tuple((g.name, s) for g, s in x.letters)) for x in (r, invert(r))
+    )
 
 
 @dataclass(frozen=True)
@@ -73,8 +102,7 @@ class FinitePresentation:
         if len(set(names)) != len(names):
             raise InputError(f"duplicate generator names in {names}")
         allowed = set(self.alphabet)
-        cleaned: list[Word] = []
-        seen: set[tuple] = set()
+        reduced: list[Word] = []
         for rel in self.relators:
             extra = rel.generators() - allowed
             if extra:
@@ -82,14 +110,21 @@ class FinitePresentation:
                     f"relator {word_to_text(rel)!r} uses generators outside the "
                     f"alphabet: {sorted(g.name for g in extra)}"
                 )
-            reduced = cyclically_reduce(rel)
-            if not reduced:
-                continue
-            key = _relator_key(reduced)
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(reduced)
+            r = cyclically_reduce(rel)
+            if r:
+                reduced.append(r)
+        # rotation and inversion keep length, so only relators sharing a
+        # length with another can be duplicates and need a key
+        lengths = Counter(len(r) for r in reduced)
+        cleaned: list[Word] = []
+        seen: set[tuple] = set()
+        for r in reduced:
+            if lengths[len(r)] > 1:
+                key = _relator_key(r)
+                if key in seen:
+                    continue
+                seen.add(key)
+            cleaned.append(r)
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "relators", tuple(cleaned))
 

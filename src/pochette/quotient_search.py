@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
 
+from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Generator, Word
 
@@ -161,6 +162,7 @@ def find_noncyclic_quotient(
 
         found = backtrack(0)
         if found is not None:
-            assert assignment_satisfies(P, found)
+            if not assignment_satisfies(P, found):
+                raise CertificateError("quotient witness violates a relator")
             return found
     return None

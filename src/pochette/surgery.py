@@ -14,7 +14,7 @@ by no computation here; it only ever affects the diffeomorphism type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .abelian import AbelianInvariants, hom_to_Z, word_image
@@ -124,12 +124,13 @@ class PochetteEmbeddingData:
 
     The knot group must abelianize to Z with the meridian mapping to a
     generator (image +-1); this is what makes the linking number an
-    integer.
+    integer.  The linking number is computed here, once per embedding.
     """
 
     knot_group: FinitePresentation
     meridian: Word
     longitude: Word
+    linking: int = field(init=False, compare=False)
 
     def __post_init__(self):
         allowed = set(self.knot_group.alphabet)
@@ -145,19 +146,19 @@ class PochetteEmbeddingData:
             raise MeridianNotGenerator(
                 "knot group abelianization is not infinite cyclic"
             )
-        if abs(word_image(images, self.meridian)) != 1:
+        meridian_image = word_image(images, self.meridian)
+        if abs(meridian_image) != 1:
             raise MeridianNotGenerator(
                 f"meridian {word_to_text(self.meridian)!r} does not generate "
                 f"the abelianization"
             )
+        linking = word_image(images, self.longitude) * meridian_image
+        object.__setattr__(self, "linking", linking)
 
 
 def linking_number(data: PochetteEmbeddingData) -> int:
     """Longitude class over meridian class in the infinite cyclic abelianization."""
-    images = hom_to_Z(data.knot_group)
-    assert images is not None  # guaranteed by the data invariants
-    meridian_image = word_image(images, data.meridian)
-    return word_image(images, data.longitude) * meridian_image
+    return data.linking
 
 
 def surgery_pi1(data: PochetteEmbeddingData, slope: SlopeSpec) -> FinitePresentation:

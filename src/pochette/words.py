@@ -194,10 +194,12 @@ def invert(w: Word) -> Word:
 
 def cyclically_reduce(w: Word) -> Word:
     """Strip matching first/last letters until none match."""
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters))
+    letters = w.letters
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+        i += 1
+        j -= 1
+    return Word(letters[i : j + 1])
 
 
 def exponent_sum(w: Word, g: Generator) -> int:

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code with the
 package: a straightforward elementary-operation diagonalization for
 invariant factors (no transform tracking, first-nonzero pivoting), a
 gcd-of-minors calculation as a second opinion, exact determinants, and
-brute-force permutation-group closure for group orders.
+brute-force permutation-group closure for group orders, and all-rotations
+relator keys over plain ``(name, sign)`` letter sequences.
 """
 
 from __future__ import annotations
@@ -152,3 +153,40 @@ def mulclose(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
                     nxt.append(b)
         frontier = nxt
     return seen
+
+
+def cyclically_reduce_oracle(letters) -> tuple:
+    """Strip inverse first/last letter pairs by re-slicing, one pair at a time."""
+    letters = list(letters)
+    while (
+        len(letters) >= 2
+        and letters[0][0] == letters[-1][0]
+        and letters[0][1] == -letters[-1][1]
+    ):
+        letters = letters[1:-1]
+    return tuple(letters)
+
+
+def relator_key_oracle(letters) -> tuple:
+    """Least of all rotations of the cyclic reduction and of its inverse.
+
+    ``letters`` is a freely reduced sequence of ``(name, sign)`` pairs.
+    """
+    r = cyclically_reduce_oracle(letters)
+    inverse = tuple((name, -sign) for name, sign in reversed(r))
+    return min(
+        seq[k:] + seq[:k] for seq in (r, inverse) for k in range(max(1, len(seq)))
+    )
+
+
+def dedup_relators_oracle(relators) -> list[tuple]:
+    """Cyclic reductions, empties dropped, first occurrence of each key kept."""
+    kept: list[tuple] = []
+    seen: set[tuple] = set()
+    for letters in relators:
+        r = cyclically_reduce_oracle(letters)
+        key = relator_key_oracle(r)
+        if r and key not in seen:
+            seen.add(key)
+            kept.append(r)
+    return kept

@@ -1,15 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import oracles
 from pochette.coset_enum import (
     Completed,
+    CosetTable,
     Overflow,
+    _verify_closed,
     certify_trivial,
     enumerate_cosets,
     subgroup_membership,
 )
+from pochette.errors import CertificateError, InputError
 from pochette.presentations import FinitePresentation, parse_presentation
 from pochette.words import Generator, Word, parse_word
 
@@ -226,3 +234,44 @@ class TestStructuralCertificates:
             assert first.index == second.index, (relators, subgroup)
             checked += 1
         assert checked > 100
+
+
+class TestVerifyClosed:
+    """The completion re-check raises CertificateError, also under python -O."""
+
+    def test_corrupted_table_raises(self):
+        P = parse_presentation("gens: x\nrels: x^3")
+        # x acts as a transposition on three cosets, so x^3 does not close
+        table = CosetTable(P.alphabet, ((1, 1), (0, 0), (2, 2)))
+        with pytest.raises(CertificateError) as exc:
+            _verify_closed(P, (), table)
+        assert not isinstance(exc.value, InputError)
+        with pytest.raises(CertificateError):
+            _verify_closed(
+                parse_presentation("gens: x\nrels:"), [parse_word("x", [X])], table
+            )
+
+    def test_corrupted_table_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            from pochette.coset_enum import CosetTable, _verify_closed
+            from pochette.errors import CertificateError
+            from pochette.presentations import parse_presentation
+
+            assert False, "asserts must be stripped by -O"
+            P = parse_presentation("gens: x\\nrels: x^3")
+            try:
+                _verify_closed(P, (), CosetTable(P.alphabet, ((1, 1), (0, 0), (2, 2))))
+            except CertificateError:
+                print("raised")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"

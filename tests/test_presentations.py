@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from pochette.abelian import abelian_invariants
 from pochette.coset_enum import Completed, certify_trivial, enumerate_cosets
 from pochette.errors import InputError
@@ -8,13 +9,14 @@ from pochette.presentations import (
     FinitePresentation,
     MissingSection,
     PresentationParseError,
+    _relator_key,
     add_relator,
     format_presentation,
     parse_presentation,
     relators_equivalent,
     tietze_simplify,
 )
-from pochette.words import AlphabetMismatch, Generator, Word, parse_word
+from pochette.words import AlphabetMismatch, Generator, Word, invert, parse_word
 
 X = Generator("x")
 Y = Generator("y")
@@ -22,6 +24,48 @@ Y = Generator("y")
 
 def w(text, alphabet=(X, Y)):
     return parse_word(text, alphabet)
+
+
+# multi-character names whose string order differs from a naive one
+# ("x1" < "x10" < "x2", "a" < "ab")
+ALPHABETS = st.lists(
+    st.sampled_from(("a", "ab", "x1", "x10", "x2")), min_size=1, max_size=3, unique=True
+).map(lambda names: tuple(Generator(n) for n in names))
+
+
+def _named(word: Word) -> tuple:
+    return tuple((g.name, s) for g, s in word.letters)
+
+
+def _conjugate(word: Word, letter, k: int) -> Word:
+    g, s = letter
+    return Word(((g, s),) * k + word.letters + ((g, -s),) * k)
+
+
+def _words_over(alphabet):
+    """Plain words, periodic words u^k, and conjugates with cancelling ends."""
+    letter = st.tuples(st.sampled_from(alphabet), st.sampled_from([1, -1]))
+    plain = st.lists(letter, max_size=10).map(lambda ls: Word(tuple(ls)))
+    periodic = st.builds(lambda u, k: u**k, plain, st.integers(2, 5))
+    conjugated = st.builds(_conjugate, plain, letter, st.integers(1, 4))
+    return st.one_of(plain, periodic, conjugated)
+
+
+def _rotate(word: Word, k: int) -> Word:
+    k %= max(1, len(word))
+    return Word(word.letters[k:] + word.letters[:k])
+
+
+def _flip(word: Word, k: int) -> Word:
+    """Same length (unless it now cancels), usually not equivalent."""
+    if not word:
+        return word
+    k %= len(word)
+    g, s = word.letters[k]
+    return Word(word.letters[:k] + ((g, -s),) + word.letters[k + 1 :])
+
+
+_TRANSFORMS = (lambda word, k: word, _rotate, lambda word, k: invert(word), _flip)
 
 
 class TestParse:
@@ -92,6 +136,31 @@ class TestConstruction:
         with pytest.raises(AlphabetMismatch):
             FinitePresentation((X,), (w("x y"),))
 
+    def test_same_length_inequivalent_relators_kept(self):
+        P = FinitePresentation((X, Y), (w("x y"), w("x y^-1"), w("y x"), w("y x^-1")))
+        assert P.relators == (w("x y"), w("x y^-1"))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dedup_against_oracle(self, data):
+        alphabet = data.draw(ALPHABETS)
+        bases = data.draw(st.lists(_words_over(alphabet), min_size=1, max_size=4))
+        picks = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(bases),
+                    st.sampled_from(_TRANSFORMS),
+                    st.integers(0, 40),
+                ),
+                max_size=8,
+            )
+        )
+        relators = tuple(transform(word, k) for word, transform, k in picks)
+        P = FinitePresentation(alphabet, relators)
+        expected = oracles.dedup_relators_oracle([_named(r) for r in relators])
+        assert [_named(r) for r in P.relators] == expected
+
+
 
 class TestAddRelator:
     def test_appends(self):
@@ -128,6 +197,11 @@ class TestRelatorsEquivalent:
             rotated = Word(word.letters[k:] + word.letters[:k])
             assert relators_equivalent(word, rotated)
         assert relators_equivalent(word, Word(tuple((g, -s) for g, s in reversed(word.letters))))
+
+    @given(ALPHABETS.flatmap(_words_over))
+    @settings(max_examples=300, deadline=None)
+    def test_key_against_all_rotations_oracle(self, word):
+        assert _relator_key(word) == oracles.relator_key_oracle(_named(word))
 
 
 def random_presentations():

@@ -1,5 +1,9 @@
 from itertools import permutations, product
 
+import pytest
+
+from pochette import quotient_search
+from pochette.errors import CertificateError
 from pochette.presentations import parse_presentation
 from pochette.quotient_search import (
     PermutationAssignment,
@@ -59,6 +63,11 @@ class TestFindNoncyclicQuotient:
 
     def test_empty_alphabet(self):
         assert find_noncyclic_quotient(parse_presentation("gens: \nrels:"), 4) is None
+
+    def test_failed_witness_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(quotient_search, "assignment_satisfies", lambda P, found: False)
+        with pytest.raises(CertificateError):
+            find_noncyclic_quotient(spun_trefoil(), 3)
 
 
 class TestImageIsCyclic:

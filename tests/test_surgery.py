@@ -156,6 +156,20 @@ class TestLinkingNumber:
         )
         assert linking_number(data) == 1
 
+    def test_stored_once_and_survives_pickling(self):
+        import pickle
+
+        data = spun_trefoil_embedding()
+        assert data.linking == -1
+        copy = pickle.loads(pickle.dumps(data))
+        assert copy == data and linking_number(copy) == -1
+
+    def test_not_part_of_equality(self):
+        data = spun_trefoil_embedding()
+        altered = PochetteEmbeddingData(data.knot_group, data.meridian, data.longitude)
+        object.__setattr__(altered, "linking", 7)
+        assert altered == data and hash(altered) == hash(data)
+
 
 class TestSurgeryPi1:
     def test_criterion_one_presentation(self):

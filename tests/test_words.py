@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from pochette.words import (
     IDENTITY,
     Generator,
@@ -30,6 +31,17 @@ def w(text):
 
 letters = st.tuples(st.sampled_from(ALPHABET), st.sampled_from([1, -1]))
 words = st.lists(letters, max_size=12).map(lambda ls: Word(tuple(ls)))
+
+
+def _conjugate(word: Word, letter, k: int) -> Word:
+    g, s = letter
+    return Word(((g, s),) * k + word.letters + ((g, -s),) * k)
+
+
+# g^k w g^-k: cancelling ends, the case the reduction loop strips k times
+conjugated_words = st.one_of(
+    words, st.builds(_conjugate, words, letters, st.integers(0, 30))
+)
 
 
 class TestParse:
@@ -132,6 +144,11 @@ class TestAlgebra:
         once = cyclically_reduce(word)
         assert len(once) <= len(word)
         assert cyclically_reduce(once) == once
+
+    @given(conjugated_words)
+    def test_cyclic_reduce_against_oracle(self, word):
+        expected = oracles.cyclically_reduce_oracle(word.letters)
+        assert cyclically_reduce(word).letters == expected
 
     @given(words, words, st.sampled_from(ALPHABET))
     def test_exponent_sum_homomorphism(self, a, b, g):
