@@ -23,9 +23,8 @@ from .coset_enum import (
     Completed,
     CosetTable,
     EnumerationResult,
-    MembershipVerdict,
+    EnumerationVerdict,
     Overflow,
-    TrivialityVerdict,
     certify_trivial,
     enumerate_cosets,
     subgroup_membership,

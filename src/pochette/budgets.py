@@ -1,14 +1,17 @@
 """Search budgets for the semi-decision procedures.
 
-All three knobs surface as CLI flags; environment variables override
-the built-in defaults (POCHETTE_MAX_COSETS, POCHETTE_TIETZE_STEPS,
-POCHETTE_QUOTIENT_DEGREE).
+This module is the only home of the budget defaults.  On the command
+line ``--max-cosets`` belongs to surger, sweep, enumerate and cordcheck,
+``--steps`` to simplify and ``--degree`` to cordcheck; an absent flag
+falls back to POCHETTE_MAX_COSETS, POCHETTE_TIETZE_STEPS or
+POCHETTE_QUOTIENT_DEGREE, then to the default.  Zero or negative values
+are input errors (exit 2).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
 
@@ -29,17 +32,21 @@ class Budgets:
 
     @staticmethod
     def from_env() -> "Budgets":
-        def read(var: str, default: int) -> int:
+        """Defaults, each replaced by its POCHETTE_<FIELD> variable when set."""
+        values = {}
+        for field in fields(Budgets):
+            var = f"POCHETTE_{field.name.upper()}"
             raw = os.environ.get(var)
             if raw is None:
-                return default
+                continue
             try:
-                return int(raw)
+                values[field.name] = int(raw)
             except ValueError as exc:
                 raise InputError(f"{var} must be an integer, got {raw!r}") from exc
+        return Budgets(**values)
 
-        return Budgets(
-            max_cosets=read("POCHETTE_MAX_COSETS", 100_000),
-            tietze_steps=read("POCHETTE_TIETZE_STEPS", 10_000),
-            quotient_degree=read("POCHETTE_QUOTIENT_DEGREE", 8),
-        )
+    @staticmethod
+    def with_overrides(**flags: int | None) -> "Budgets":
+        """The environment's budgets with every flag that is not None in place."""
+        given = {name: value for name, value in flags.items() if value is not None}
+        return replace(Budgets.from_env(), **given)

@@ -16,6 +16,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
@@ -89,15 +90,14 @@ def _emit(report: dict, fmt: str):
         print("\n".join(_render_text(report)))
 
 
-def _echo(command: str, *positional: str, **options) -> str:
+def _echo(command: str, source: str, **options) -> str:
     """Reconstruct a canonical, re-runnable invocation.
 
     Option values are attached with '=' so that values starting with a
     dash (negative ranges, slopes) survive argument parsing when the
     echoed command is pasted back.
     """
-    parts = ["pochette", command]
-    parts.extend(shlex.quote(p) for p in positional)
+    parts = ["pochette", command, shlex.quote(source)]
     for flag, value in options.items():
         name = flag.replace("_", "-")
         parts.append(shlex.quote(f"--{name}={value}"))
@@ -148,44 +148,67 @@ def _presentation_fields(P: FinitePresentation) -> dict:
     }
 
 
-def _enumeration_fields(stats) -> dict | None:
-    if stats is None:
+def _enumeration_fields(verdict, index_key: str, with_kind: bool = False) -> dict | None:
+    if verdict is None:
         return None
     return {
-        "index": stats.index,
-        "cosets_defined": stats.cosets_defined,
-        "collapses": stats.collapses,
-        "max_cosets": stats.max_cosets,
+        **({"kind": verdict.kind} if with_kind else {}),
+        index_key: verdict.index,
+        "cosets_defined": verdict.cosets_defined,
+        "collapses": verdict.collapses,
+        "max_cosets": verdict.max_cosets,
     }
 
 
-def _surger_report(
-    source: str,
-    meridian_text: str,
-    longitude_text: str,
-    slope: SlopeSpec,
-    budgets: Budgets,
-    fmt: str,
-) -> dict:
-    P, default_m, default_l = _load_source(source)
-    meridian, meridian_text = _require_word(P, meridian_text, default_m, "meridian")
-    longitude, longitude_text = _require_word(P, longitude_text, default_l, "longitude")
-    data = PochetteEmbeddingData(P, meridian, longitude)
-    start = time.perf_counter()
-    inv = surgery_invariants(data, slope, budgets)
-    wall_ms = (time.perf_counter() - start) * 1000
-    return {
+def _embedding(args, source) -> tuple[PochetteEmbeddingData, str, str]:
+    """Embedding data plus the meridian and longitude texts actually used."""
+    P, default_m, default_l = source
+    meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
+    longitude, longitude_text = _require_word(P, args.longitude, default_l, "longitude")
+    return PochetteEmbeddingData(P, meridian, longitude), meridian_text, longitude_text
+
+
+def _run_report(handler, args) -> int:
+    """Run one report subcommand and print its report.
+
+    ``handler(args, source, timed)`` returns the options echoed in the
+    command and the report body; it passes its main computation through
+    ``timed``, whose duration becomes ``wall_ms``.
+    """
+    wall_s = 0.0
+
+    def timed(fn, *fn_args):
+        nonlocal wall_s
+        start = time.perf_counter()
+        result = fn(*fn_args)
+        wall_s = time.perf_counter() - start
+        return result
+
+    options, body = handler(args, _load_source(args.source), timed)
+    report = {
         "schema": 1,
-        "command": _echo(
-            "surger", source,
-            meridian=meridian_text,
-            longitude=longitude_text,
-            slope=f"{slope.p}/{slope.q}",
-            framing=slope.epsilon,
-            max_cosets=budgets.max_cosets,
-            format=fmt,
-        ),
-        "source": source,
+        "command": _echo(args.command, args.source, **options, format=args.format),
+        "source": args.source,
+        **body,
+        "wall_ms": round(wall_s * 1000, 1),
+    }
+    _emit(report, args.format)
+    return 0
+
+
+def _surger(args, source, timed):
+    slope = _parse_slope(args.slope, args.framing)
+    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
+    data, meridian_text, longitude_text = _embedding(args, source)
+    inv = timed(surgery_invariants, data, slope, budgets)
+    options = {
+        "meridian": meridian_text,
+        "longitude": longitude_text,
+        "slope": f"{slope.p}/{slope.q}",
+        "framing": slope.epsilon,
+        "max_cosets": budgets.max_cosets,
+    }
+    return options, {
         "meridian": meridian_text,
         "longitude": longitude_text,
         "slope": {"p": slope.p, "q": slope.q, "epsilon": slope.epsilon},
@@ -198,9 +221,8 @@ def _surger_report(
             "pi1_index": inv.verdict.pi1_index,
             "detail": inv.verdict.detail,
         },
-        "enumeration": _enumeration_fields(inv.enumeration),
+        "enumeration": _enumeration_fields(inv.enumeration, "index"),
         "epsilon_note": EPSILON_NOTE,
-        "wall_ms": round(wall_ms, 1),
     }
 
 
@@ -219,8 +241,8 @@ def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tu
 
 
 def _sweep_worker(job: tuple) -> dict:
-    data, p, q, epsilon, max_cosets = job
-    inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), Budgets(max_cosets=max_cosets))
+    data, p, q, epsilon, budgets = job
+    inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), budgets)
     return {
         "p": p,
         "q": q,
@@ -230,6 +252,13 @@ def _sweep_worker(job: tuple) -> dict:
         "verdict": inv.verdict.kind,
         "pi1_index": inv.verdict.pi1_index,
     }
+
+
+def _sweep_rows(jobs: list[tuple], workers: int) -> list[dict]:
+    if workers > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_worker, jobs))
+    return [_sweep_worker(job) for job in jobs]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -245,162 +274,78 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_cword(args) -> int:
-    slope = SlopeSpec(args.p, args.q, args.epsilon)
-    if slope.p == 0:
-        raise InputError(
-            "slope 0/1 has no slope word; the surgery relator is the longitude"
-        )
-    print(word_to_text(surgery_relator_word(slope)))
-    return 0
-
-
-def _cmd_surger(args) -> int:
-    slope = _parse_slope(args.slope, args.framing)
-    budgets = Budgets.from_env()
-    budgets = Budgets(
-        max_cosets=args.max_cosets or budgets.max_cosets,
-        tietze_steps=budgets.tietze_steps,
-        quotient_degree=budgets.quotient_degree,
-    )
-    report = _surger_report(
-        args.source, args.meridian, args.longitude, slope, budgets, args.format
-    )
-    _emit(report, args.format)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    P, default_m, default_l = _load_source(args.source)
-    meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
-    longitude, longitude_text = _require_word(P, args.longitude, default_l, "longitude")
-    data = PochetteEmbeddingData(P, meridian, longitude)
-    p_range = _parse_range(args.p_range)
-    q_range = _parse_range(args.q_range)
-    slopes = _sweep_slopes(p_range, q_range)
-    budgets = Budgets.from_env()
-    max_cosets = args.max_cosets or budgets.max_cosets
-    jobs = [(data, p, q, args.framing, max_cosets) for p, q in slopes]
-    start = time.perf_counter()
-    if args.jobs > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
-    wall_ms = (time.perf_counter() - start) * 1000
-    report = {
-        "schema": 1,
-        "command": _echo(
-            "sweep", args.source,
-            meridian=meridian_text,
-            longitude=longitude_text,
-            p_range=args.p_range,
-            q_range=args.q_range,
-            framing=args.framing,
-            max_cosets=max_cosets,
-            format=args.format,
-        ),
-        "source": args.source,
+def _sweep(args, source, timed):
+    data, meridian_text, longitude_text = _embedding(args, source)
+    slopes = _sweep_slopes(_parse_range(args.p_range), _parse_range(args.q_range))
+    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
+    jobs = [(data, p, q, args.framing, budgets) for p, q in slopes]
+    rows = timed(_sweep_rows, jobs, args.jobs)
+    options = {
+        "meridian": meridian_text,
+        "longitude": longitude_text,
+        "p_range": args.p_range,
+        "q_range": args.q_range,
+        "framing": args.framing,
+        "max_cosets": budgets.max_cosets,
+    }
+    return options, {
         "meridian": meridian_text,
         "longitude": longitude_text,
         "rows": rows,
         "epsilon_note": EPSILON_NOTE,
-        "wall_ms": round(wall_ms, 1),
     }
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
-    P, _, _ = _load_source(args.source)
-    subgroup = []
-    if args.subgroup:
-        subgroup = [
-            parse_word(piece, P.alphabet)
-            for piece in args.subgroup.split(";")
-            if piece.strip()
-        ]
-    max_cosets = args.max_cosets or Budgets.from_env().max_cosets
-    start = time.perf_counter()
-    result = enumerate_cosets(P, subgroup, max_cosets)
-    wall_ms = (time.perf_counter() - start) * 1000
+def _enumerate(args, source, timed):
+    P = source[0]
+    subgroup = [
+        parse_word(piece, P.alphabet)
+        for piece in (args.subgroup or "").split(";")
+        if piece.strip()
+    ]
+    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
+    result = timed(enumerate_cosets, P, subgroup, budgets.max_cosets)
     completed = isinstance(result, Completed)
-    report = {
-        "schema": 1,
-        "command": _echo(
-            "enumerate", args.source,
-            subgroup=args.subgroup or "",
-            max_cosets=max_cosets,
-            format=args.format,
-        ),
-        "source": args.source,
+    options = {"subgroup": args.subgroup or "", "max_cosets": budgets.max_cosets}
+    return options, {
         "subgroup": [word_to_text(w) for w in subgroup],
         "outcome": "Completed" if completed else "Overflow",
         "index": result.index if completed else None,
         "cosets_defined": result.cosets_defined,
         "collapses": result.collapses,
-        "max_cosets": max_cosets,
-        "wall_ms": round(wall_ms, 1),
+        "max_cosets": budgets.max_cosets,
     }
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_abelianize(args) -> int:
-    P, _, _ = _load_source(args.source)
-    start = time.perf_counter()
-    inv = abelian_invariants(P)
-    wall_ms = (time.perf_counter() - start) * 1000
-    report = {
-        "schema": 1,
-        "command": _echo("abelianize", args.source, format=args.format),
-        "source": args.source,
+def _abelianize(args, source, timed):
+    inv = timed(abelian_invariants, source[0])
+    return {}, {
         "invariants": str(inv),
         "free_rank": inv.free_rank,
         "torsion": list(inv.torsion),
-        "wall_ms": round(wall_ms, 1),
     }
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_simplify(args) -> int:
-    P, _, _ = _load_source(args.source)
-    steps = args.steps or Budgets.from_env().tietze_steps
-    if steps <= 0:
-        raise InputError("--steps must be positive")
-    start = time.perf_counter()
-    result = tietze_simplify(P, steps)
-    wall_ms = (time.perf_counter() - start) * 1000
-    report = {
-        "schema": 1,
-        "command": _echo(
-            "simplify", args.source, steps=steps, format=args.format
-        ),
-        "source": args.source,
+def _simplify(args, source, timed):
+    P = source[0]
+    budgets = Budgets.with_overrides(tietze_steps=args.steps)
+    result = timed(tietze_simplify, P, budgets.tietze_steps)
+    return {"steps": budgets.tietze_steps}, {
         "before": _presentation_fields(P),
         "after": _presentation_fields(result.presentation),
         "steps_applied": result.steps,
         "budget_exhausted": result.budget_exhausted,
-        "wall_ms": round(wall_ms, 1),
     }
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_cordcheck(args) -> int:
-    P, default_m, _ = _load_source(args.source)
+def _cordcheck(args, source, timed):
+    P, default_m, _ = source
     meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
     cord = parse_word(args.cord, P.alphabet)
-    env = Budgets.from_env()
-    budgets = Budgets(
-        max_cosets=args.max_cosets or env.max_cosets,
-        tietze_steps=env.tietze_steps,
-        quotient_degree=args.degree or env.quotient_degree,
+    budgets = Budgets.with_overrides(
+        max_cosets=args.max_cosets, quotient_degree=args.degree
     )
-    start = time.perf_counter()
-    verdict = cord_triviality(P, meridian, CordSpec(cord), budgets)
-    wall_ms = (time.perf_counter() - start) * 1000
+    verdict = timed(cord_triviality, P, meridian, CordSpec(cord), budgets)
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -410,36 +355,31 @@ def _cmd_cordcheck(args) -> int:
                 for g, perm in zip(verdict.witness.alphabet, verdict.witness.images)
             },
         }
-    report = {
-        "schema": 1,
-        "command": _echo(
-            "cordcheck", args.source,
-            meridian=meridian_text,
-            cord=args.cord,
-            max_cosets=budgets.max_cosets,
-            degree=budgets.quotient_degree,
-            format=args.format,
-        ),
-        "source": args.source,
+    options = {
+        "meridian": meridian_text,
+        "cord": args.cord,
+        "max_cosets": budgets.max_cosets,
+        "degree": budgets.quotient_degree,
+    }
+    return options, {
         "meridian": meridian_text,
         "cord": args.cord,
         "verdict": verdict.kind,
         "detail": verdict.detail,
         "witness": witness,
-        "membership": (
-            None
-            if verdict.membership is None
-            else {
-                "kind": verdict.membership.kind,
-                "subgroup_index": verdict.membership.subgroup_index,
-                "cosets_defined": verdict.membership.cosets_defined,
-                "collapses": verdict.membership.collapses,
-                "max_cosets": verdict.membership.max_cosets,
-            }
+        "membership": _enumeration_fields(
+            verdict.membership, "subgroup_index", with_kind=True
         ),
-        "wall_ms": round(wall_ms, 1),
     }
-    _emit(report, args.format)
+
+
+def _cmd_cword(args) -> int:
+    slope = SlopeSpec(args.p, args.q, args.epsilon)
+    if slope.p == 0:
+        raise InputError(
+            "slope 0/1 has no slope word; the surgery relator is the longitude"
+        )
+    print(word_to_text(surgery_relator_word(slope)))
     return 0
 
 
@@ -458,15 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    def add_source(p):
+    def add_report(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "source",
             help="presentation file, 'spun-trefoil', 'one-fusion:<word>:<sign>', "
             "or 'fusion:<path>'",
         )
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=partial(_run_report, handler))
+        return p
 
     p = sub.add_parser("cword", help="print the slope word over the letters m, l")
     p.add_argument("-p", type=int, required=True)
@@ -474,18 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
     p.set_defaults(func=_cmd_cword)
 
-    p = sub.add_parser("surger", help="full surgery invariant report with verdict")
-    add_source(p)
+    p = add_report("surger", _surger, "full surgery invariant report with verdict")
     p.add_argument("--meridian")
     p.add_argument("--longitude")
     p.add_argument("--slope", required=True, help="p/q")
     p.add_argument("--framing", type=int, default=0, choices=(0, 1))
     p.add_argument("--max-cosets", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_surger)
 
-    p = sub.add_parser("sweep", help="verdict table over a grid of slopes")
-    add_source(p)
+    p = add_report("sweep", _sweep, "verdict table over a grid of slopes")
     p.add_argument("--meridian")
     p.add_argument("--longitude")
     p.add_argument("--p-range", required=True, help="lo:hi")
@@ -493,35 +430,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framing", type=int, default=0, choices=(0, 1))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-cosets", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("enumerate", help="coset enumeration index and statistics")
-    add_source(p)
+    p = add_report("enumerate", _enumerate, "coset enumeration index and statistics")
     p.add_argument("--subgroup", help="subgroup generator words separated by ';'")
     p.add_argument("--max-cosets", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("abelianize", help="abelian invariants of a presentation")
-    add_source(p)
-    add_format(p)
-    p.set_defaults(func=_cmd_abelianize)
+    add_report("abelianize", _abelianize, "abelian invariants of a presentation")
 
-    p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
-    add_source(p)
+    p = add_report("simplify", _simplify, "Tietze-simplify a presentation")
     p.add_argument("--steps", type=int, help="move budget")
-    add_format(p)
-    p.set_defaults(func=_cmd_simplify)
 
-    p = sub.add_parser("cordcheck", help="classify a cord against the trivial class")
-    add_source(p)
+    p = add_report("cordcheck", _cordcheck, "classify a cord against the trivial class")
     p.add_argument("--meridian")
     p.add_argument("--cord", required=True)
     p.add_argument("--max-cosets", type=int)
     p.add_argument("--degree", type=int, help="quotient search degree cap")
-    add_format(p)
-    p.set_defaults(func=_cmd_cordcheck)
 
     p = sub.add_parser("gen-fusion", help="print seeded random fusion data")
     p.add_argument("--n", type=int, required=True)

@@ -13,25 +13,23 @@ first undefined (coset, signed generator) pair in scan order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .budgets import Budgets
 from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Word
 
 __all__ = [
-    "DEFAULT_MAX_COSETS",
     "CosetTable",
     "Completed",
     "Overflow",
     "EnumerationResult",
     "enumerate_cosets",
-    "TrivialityVerdict",
+    "EnumerationVerdict",
     "certify_trivial",
-    "MembershipVerdict",
     "subgroup_membership",
 ]
-
-DEFAULT_MAX_COSETS = 100_000
 
 UNDEF = -1
 
@@ -46,11 +44,19 @@ class CosetTable:
     alphabet: tuple
     rows: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _columns(self) -> dict:
+        """Signed letter (generator, sign) -> table column."""
+        return {
+            (g, sign): 2 * i + (0 if sign == 1 else 1)
+            for i, g in enumerate(self.alphabet)
+            for sign in (1, -1)
+        }
+
     def trace(self, coset: int, word: Word) -> int:
-        index = {g: i for i, g in enumerate(self.alphabet)}
-        for gen, sign in word.letters:
-            column = 2 * index[gen] + (0 if sign == 1 else 1)
-            coset = self.rows[coset][column]
+        columns = self._columns
+        for letter in word.letters:
+            coset = self.rows[coset][columns[letter]]
         return coset
 
 
@@ -78,23 +84,27 @@ def _encode(word: Word, position: dict) -> tuple[int, ...]:
     )
 
 
+class _CosetBoundHit(Exception):
+    """A definition was needed with max_cosets cosets already in the table."""
+
+
 def _hlt(
     nletters: int,
     relators: list[tuple[int, ...]],
     subgroup: list[tuple[int, ...]],
     max_cosets: int,
-) -> tuple[list[list[int]] | None, list[int], int, int]:
+) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
     """Run the HLT main loop.
 
-    Returns (table, parent, defined, collapses); table is None when the
-    coset bound was hit.  On success every live row is fully defined and
-    all relator and subgroup-generator scans close.
+    Returns (rows, defined, collapses); rows is None when the coset
+    bound was hit.  On success rows is the closed table over the live
+    cosets, renumbered in order: every relator and subgroup-generator
+    scan closes.  Dead rows stay in the table, so ``defined`` is its
+    length.
     """
     table: list[list[int]] = [[UNDEF] * nletters]
     parent: list[int] = [0]
-    defined = 1
     collapses = 0
-    overflowed = False
 
     def rep(k: int) -> int:
         r = k
@@ -103,6 +113,16 @@ def _hlt(
         while parent[k] != r:
             parent[k], k = r, parent[k]
         return r
+
+    def define(coset: int, lt: int):
+        """Make coset.lt a fresh coset; raise _CosetBoundHit at the bound."""
+        beta = len(table)
+        if beta >= max_cosets:
+            raise _CosetBoundHit
+        table.append([UNDEF] * nletters)
+        parent.append(beta)
+        table[coset][lt] = beta
+        table[beta][lt ^ 1] = coset
 
     def coincidence(x: int, y: int):
         nonlocal collapses
@@ -141,7 +161,6 @@ def _hlt(
                     table[nu][lt ^ 1] = mu
 
     def scan_and_fill(alpha: int, word: tuple[int, ...]):
-        nonlocal defined, overflowed
         f = alpha
         i = 0
         b = alpha
@@ -164,59 +183,40 @@ def _hlt(
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
                 return
-            # fill: define f.word[i] as a fresh coset
-            if len(table) >= max_cosets:
-                overflowed = True
-                return
-            beta = len(table)
-            table.append([UNDEF] * nletters)
-            parent.append(beta)
-            defined += 1
-            table[f][word[i]] = beta
-            table[beta][word[i] ^ 1] = f
+            define(f, word[i])
 
-    for word in subgroup:
-        scan_and_fill(0, word)
-        if overflowed:
-            return None, parent, defined, collapses
-
-    # Coincidences may re-open entries of already-processed cosets, so
-    # sweep until a pass leaves every live row closed.
-    while True:
-        alpha = 0
-        while alpha < len(table):
-            if parent[alpha] == alpha:
-                for word in relators:
-                    scan_and_fill(alpha, word)
-                    if overflowed:
-                        return None, parent, defined, collapses
-                    if parent[alpha] != alpha:
-                        break
+    try:
+        for word in subgroup:
+            scan_and_fill(0, word)
+        # Coincidences may re-open entries of already-processed cosets, so
+        # sweep until a pass leaves every live row closed.
+        while True:
+            alpha = 0
+            while alpha < len(table):
                 if parent[alpha] == alpha:
-                    for lt in range(nletters):
-                        if table[alpha][lt] == UNDEF:
-                            if len(table) >= max_cosets:
-                                return None, parent, defined, collapses
-                            beta = len(table)
-                            table.append([UNDEF] * nletters)
-                            parent.append(beta)
-                            defined += 1
-                            table[alpha][lt] = beta
-                            table[beta][lt ^ 1] = alpha
-            alpha += 1
-        closed = all(
-            UNDEF not in table[c]
-            for c in range(len(table))
-            if parent[c] == c
-        )
-        if closed:
-            return table, parent, defined, collapses
+                    for word in relators:
+                        scan_and_fill(alpha, word)
+                        if parent[alpha] != alpha:
+                            break
+                    if parent[alpha] == alpha:
+                        for lt in range(nletters):
+                            if table[alpha][lt] == UNDEF:
+                                define(alpha, lt)
+                alpha += 1
+            live = [c for c in range(len(table)) if parent[c] == c]
+            if all(UNDEF not in table[c] for c in live):
+                break
+    except _CosetBoundHit:
+        return None, len(table), collapses
+    relabel = {c: i for i, c in enumerate(live)}
+    rows = tuple(tuple(relabel[rep(entry)] for entry in table[c]) for c in live)
+    return rows, len(table), collapses
 
 
 def enumerate_cosets(
     P: FinitePresentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
-    max_cosets: int = DEFAULT_MAX_COSETS,
+    max_cosets: int = Budgets.max_cosets,
 ) -> EnumerationResult:
     """Enumerate cosets of the subgroup generated by the given words.
 
@@ -231,23 +231,10 @@ def enumerate_cosets(
     relators = [_encode(r, position) for r in P.relators]
     subgroup_words = [_encode(w, position) for w in subgroup]
 
-    table, parent, defined, collapses = _hlt(
-        nletters, relators, subgroup_words, max_cosets
-    )
-    if table is None:
+    rows, defined, collapses = _hlt(nletters, relators, subgroup_words, max_cosets)
+    if rows is None:
         return Overflow(max_cosets, defined, collapses)
-
-    def rep(k: int) -> int:
-        while parent[k] != k:
-            k = parent[k]
-        return k
-
-    live = [c for c in range(len(table)) if parent[c] == c]
-    relabel = {c: i for i, c in enumerate(live)}
-    rows = tuple(
-        tuple(relabel[rep(entry)] for entry in table[c]) for c in live
-    )
-    result = Completed(len(live), CosetTable(P.alphabet, rows), defined, collapses)
+    result = Completed(len(rows), CosetTable(P.alphabet, rows), defined, collapses)
     _verify_closed(P, subgroup, result.table)
     return result
 
@@ -264,59 +251,55 @@ def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
 
 
 @dataclass(frozen=True)
-class TrivialityVerdict:
-    kind: str  # "Trivial" | "NonTrivial" | "Unknown"
-    index: int | None = None
-    cosets_defined: int = 0
-    collapses: int = 0
-    max_cosets: int = DEFAULT_MAX_COSETS
+class EnumerationVerdict:
+    """A decision read off one coset enumeration, with its statistics.
+
+    kind is "Trivial" | "NonTrivial" for certify_trivial, "InSubgroup" |
+    "NotInSubgroup" for subgroup_membership, and "Unknown" for either
+    when the enumeration overflowed; index is then None.
+    """
+
+    kind: str
+    index: int | None
+    cosets_defined: int
+    collapses: int
+    max_cosets: int
 
     def is_trivial(self) -> bool:
         return self.kind == "Trivial"
 
 
-def certify_trivial(
-    P: FinitePresentation, max_cosets: int = DEFAULT_MAX_COSETS
-) -> TrivialityVerdict:
-    """Trivial iff enumeration over the empty subgroup completes with index 1."""
-    result = enumerate_cosets(P, (), max_cosets)
+def _verdict(result: EnumerationResult, max_cosets: int, kind: str) -> EnumerationVerdict:
+    """kind for a completed enumeration, Unknown for an overflow."""
     if isinstance(result, Overflow):
-        return TrivialityVerdict(
+        return EnumerationVerdict(
             "Unknown", None, result.cosets_defined, result.collapses, max_cosets
         )
-    kind = "Trivial" if result.index == 1 else "NonTrivial"
-    return TrivialityVerdict(
+    return EnumerationVerdict(
         kind, result.index, result.cosets_defined, result.collapses, max_cosets
     )
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    kind: str  # "InSubgroup" | "NotInSubgroup" | "Unknown"
-    subgroup_index: int | None = None
-    cosets_defined: int = 0
-    collapses: int = 0
-    max_cosets: int = DEFAULT_MAX_COSETS
+def certify_trivial(
+    P: FinitePresentation, max_cosets: int = Budgets.max_cosets
+) -> EnumerationVerdict:
+    """Trivial iff enumeration over the empty subgroup completes with index 1."""
+    result = enumerate_cosets(P, (), max_cosets)
+    trivial = isinstance(result, Completed) and result.index == 1
+    return _verdict(result, max_cosets, "Trivial" if trivial else "NonTrivial")
 
 
 def subgroup_membership(
     P: FinitePresentation,
     subgroup_gens: list[Word] | tuple[Word, ...],
     candidate: Word,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-) -> MembershipVerdict:
+    max_cosets: int = Budgets.max_cosets,
+) -> EnumerationVerdict:
     """Decide membership in a finitely generated subgroup, when the index is finite.
 
     With a completed table, the candidate lands on coset 0 iff it lies
     in the subgroup.  Overflow yields Unknown.
     """
     result = enumerate_cosets(P, tuple(subgroup_gens), max_cosets)
-    if isinstance(result, Overflow):
-        return MembershipVerdict(
-            "Unknown", None, result.cosets_defined, result.collapses, max_cosets
-        )
-    landed = result.table.trace(0, candidate)
-    kind = "InSubgroup" if landed == 0 else "NotInSubgroup"
-    return MembershipVerdict(
-        kind, result.index, result.cosets_defined, result.collapses, max_cosets
-    )
+    inside = isinstance(result, Completed) and result.table.trace(0, candidate) == 0
+    return _verdict(result, max_cosets, "InSubgroup" if inside else "NotInSubgroup")

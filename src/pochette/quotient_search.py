@@ -12,19 +12,17 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
 
+from .budgets import Budgets
 from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Generator, Word
 
 __all__ = [
-    "DEFAULT_MAX_DEGREE",
     "PermutationAssignment",
     "find_noncyclic_quotient",
     "image_is_cyclic",
     "assignment_satisfies",
 ]
-
-DEFAULT_MAX_DEGREE = 8
 
 Perm = tuple[int, ...]
 
@@ -116,7 +114,7 @@ def image_is_cyclic(a: PermutationAssignment) -> bool:
 
 
 def find_noncyclic_quotient(
-    P: FinitePresentation, max_degree: int = DEFAULT_MAX_DEGREE
+    P: FinitePresentation, max_degree: int = Budgets.quotient_degree
 ) -> PermutationAssignment | None:
     """Backtracking search for a relator-satisfying non-cyclic permutation image.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .abelian import hom_to_Z
 from .budgets import Budgets
-from .coset_enum import MembershipVerdict, subgroup_membership
+from .coset_enum import EnumerationVerdict, subgroup_membership
 from .errors import InputError
 from .presentations import FinitePresentation, parse_presentation
 from .quotient_search import PermutationAssignment, find_noncyclic_quotient
@@ -145,7 +145,7 @@ class CordSpec:
 class CordVerdict:
     kind: str  # "TrivialCordClass" | "NontrivialCordCertified" | "Unknown"
     witness: PermutationAssignment | None = None
-    membership: MembershipVerdict | None = None
+    membership: EnumerationVerdict | None = None
     detail: str = ""
 
 
@@ -204,7 +204,7 @@ def cord_triviality(
             "TrivialCordClass",
             membership=membership,
             detail=f"cord traced into the meridian subgroup "
-            f"(index {membership.subgroup_index})",
+            f"(index {membership.index})",
         )
     if membership.kind == "NotInSubgroup":
         witness = find_noncyclic_quotient(P, budgets.quotient_degree)

@@ -19,7 +19,7 @@ from math import gcd
 
 from .abelian import AbelianInvariants, hom_to_Z, word_image
 from .budgets import Budgets
-from .coset_enum import TrivialityVerdict, certify_trivial
+from .coset_enum import EnumerationVerdict, certify_trivial
 from .errors import InputError
 from .presentations import FinitePresentation, add_relator
 from .words import AlphabetMismatch, Generator, Word, substitute, word_to_text
@@ -217,7 +217,7 @@ class SurgeryInvariants:
     pi1: FinitePresentation
     homology: tuple[AbelianInvariants, ...]
     verdict: Verdict
-    enumeration: TrivialityVerdict | None
+    enumeration: EnumerationVerdict | None
 
 
 def surgery_invariants(
@@ -230,7 +230,7 @@ def surgery_invariants(
     n = slope.p + slope.q * linking
     pi1 = surgery_pi1(data, slope)
     homology = surgery_homology(linking, slope)
-    enumeration: TrivialityVerdict | None = None
+    enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
         obstruction = homology[1] if not homology[1].is_trivial() else homology[2]
         verdict = Verdict(

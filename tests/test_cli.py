@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pochette.cli import _render_text, main
 
 
@@ -280,6 +282,31 @@ class TestBudgetEnvOverrides:
         monkeypatch.setenv("POCHETTE_MAX_COSETS", "many")
         code, _, err = run_cli(capsys, "surger", "spun-trefoil", "--slope", "1/2")
         assert code == 2
+
+
+class TestBudgetFlags:
+    """A given flag is never replaced by the default, even when it is 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("surger", "spun-trefoil", "--slope=1/2", "--max-cosets", "0"),
+            ("cordcheck", "spun-trefoil", "--cord", "y", "--degree", "0"),
+            ("simplify", "spun-trefoil", "--steps", "0"),
+        ],
+    )
+    def test_zero_flag_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_negative_enumerate_budget_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pochette", "enumerate", "spun-trefoil",
+             "--max-cosets", "-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

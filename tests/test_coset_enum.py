@@ -140,7 +140,7 @@ class TestSubgroupMembership:
         P = parse_presentation(DIHEDRAL8)
         sub = [parse_word("x", P.alphabet)]
         verdict = subgroup_membership(P, sub, parse_word("x^3", P.alphabet))
-        assert verdict.kind == "InSubgroup" and verdict.subgroup_index == 2
+        assert verdict.kind == "InSubgroup" and verdict.index == 2
 
     def test_identity_always_in(self):
         P = parse_presentation(DIHEDRAL8)

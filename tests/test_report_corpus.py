@@ -3,22 +3,26 @@
 Each case runs one CLI command in both formats from inside
 ``tests/corpus`` (so file sources and the echoed command are relative)
 and compares stdout, with the ``wall_ms`` field removed, against the
-stored ``<case>.txt`` / ``<case>.json``.  Refresh the expected files
-only on purpose, with ``python tests/test_report_corpus.py``.
+stored ``<case>.txt`` / ``<case>.json``.  Commands that print plain
+text and take no ``--format`` are compared once, against ``<case>.txt``.
+Refresh the expected files only on purpose, with
+``python tests/test_report_corpus.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from pochette.cli import main
+from pochette.cli import _build_parser, main
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -46,11 +50,19 @@ CASES = {
     ),
     "abelianize": ("abelianize", "fusion:fusion3.txt"),
     "simplify": ("simplify", "fusion:fusion3.txt"),
+    "simplify-exhausted": ("simplify", "fusion:fusion3.txt", "--steps=1"),
+    "surger-env-budget": ("surger", "spun-trefoil", "--slope=40/41"),
     "cordcheck": (
         "cordcheck", "spun-trefoil", "--cord=y", "--degree=4", "--max-cosets=2000",
     ),
 }
 FORMATS = {"txt": "text", "json": "json"}
+# Environment variables a case runs under.
+ENV = {"surger-env-budget": {"POCHETTE_MAX_COSETS": "200"}}
+PLAIN_CASES = {
+    "cword": ("cword", "-p", "3", "-q", "-4"),
+    "gen-fusion": ("gen-fusion", "--n=3", "--seed=7"),
+}
 
 
 def _strip_wall_ms(out: str, fmt: str) -> str:
@@ -63,27 +75,52 @@ def _strip_wall_ms(out: str, fmt: str) -> str:
     )
 
 
-def _run(argv: tuple[str, ...], fmt: str) -> str:
+def _stdout(argv: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main([*argv, f"--format={fmt}"])
+        code = main(argv)
     assert code == 0, argv
-    return _strip_wall_ms(buffer.getvalue(), fmt)
+    return buffer.getvalue()
+
+
+def _run(argv: tuple[str, ...], fmt: str) -> str:
+    return _strip_wall_ms(_stdout([*argv, f"--format={fmt}"]), fmt)
 
 
 @pytest.mark.parametrize("suffix", sorted(FORMATS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_corpus(case, suffix, monkeypatch):
     monkeypatch.chdir(CORPUS)
+    for var, value in ENV.get(case, {}).items():
+        monkeypatch.setenv(var, value)
     expected = (CORPUS / f"{case}.{suffix}").read_text()
     assert _run(CASES[case], FORMATS[suffix]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_CASES))
+def test_plain_output_matches_corpus(case):
+    expected = (CORPUS / f"{case}.txt").read_text()
+    assert _stdout(list(PLAIN_CASES[case])) == expected
+
+
+def test_every_subcommand_has_a_case():
+    (subparsers,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    covered = {argv[0] for argv in (*CASES.values(), *PLAIN_CASES.values())}
+    assert set(subparsers.choices) <= covered
 
 
 def regenerate() -> None:
     os.chdir(CORPUS)
     for case, argv in CASES.items():
-        for suffix, fmt in FORMATS.items():
-            (CORPUS / f"{case}.{suffix}").write_text(_run(argv, fmt))
+        with mock.patch.dict(os.environ, ENV.get(case, {})):
+            for suffix, fmt in FORMATS.items():
+                (CORPUS / f"{case}.{suffix}").write_text(_run(argv, fmt))
+    for case, argv in PLAIN_CASES.items():
+        (CORPUS / f"{case}.txt").write_text(_stdout(list(argv)))
 
 
 if __name__ == "__main__":
