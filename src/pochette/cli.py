@@ -275,6 +275,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _sweep(args, source, timed):
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     data, meridian_text, longitude_text = _embedding(args, source)
     slopes = _sweep_slopes(_parse_range(args.p_range), _parse_range(args.q_range))
     budgets = Budgets.with_overrides(max_cosets=args.max_cosets)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InputError
 from .words import (
@@ -45,11 +44,6 @@ class PresentationParseError(InputError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-def _rotations(letters: tuple) -> Iterable[tuple]:
-    for k in range(max(1, len(letters))):
-        yield letters[k:] + letters[:k]
 
 
 def _least_rotation(s: tuple) -> tuple:
@@ -221,81 +215,81 @@ def _print_key(w: Word) -> tuple[int, str]:
     return (len(w), word_to_text(w))
 
 
-def _find_subword_rewrite(
-    P: FinitePresentation,
-) -> tuple[int, int, Word] | None:
-    """Locate one length-decreasing relator-substring rewrite.
+def _subword_rewrite(
+    P: FinitePresentation, order: list[int]
+) -> FinitePresentation | None:
+    """One length-decreasing relator-substring rewrite, or None.
 
     A relator r, read cyclically in either direction, splits as u*v, so
     u = v^-1 in the group.  An occurrence of u (with len(u) > len(r)/2)
     inside another relator s, read cyclically, can be replaced by v^-1,
-    strictly shortening s.  Returns (source index, target index, new
-    target word), preferring short sources, long matches, short targets.
+    strictly shortening s.  Prefers short sources, long matches, short
+    targets, all in ``order``.
     """
-    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    doubled = [r.letters + r.letters for r in P.relators]
     for ri in order:
         r = P.relators[ri]
-        length = len(r)
-        if length == 0:
+        targets = [si for si in order if si != ri]
+        longest = max((len(P.relators[si]) for si in targets), default=0)
+        # a match u longer than every other relator cannot occur
+        cuts = range(min(len(r), longest), len(r) // 2, -1)
+        if not cuts:
             continue
-        variants: list[tuple] = []
-        for base in (r.letters, invert(r).letters):
-            for rot in _rotations(base):
-                if rot not in variants:
-                    variants.append(rot)
-        for cut in range(length, length // 2, -1):
+        # distinct rotations of r and of r^-1, in first-occurrence order
+        bases = (r.letters, invert(r).letters)
+        variants = dict.fromkeys(b[k:] + b[:k] for b in bases for k in range(len(b)))
+        for cut in cuts:
             for variant in variants:
                 u = variant[:cut]
                 v_inv = tuple((g, -s) for g, s in reversed(variant[cut:]))
-                for si in sorted(
-                    (i for i in range(len(P.relators)) if i != ri),
-                    key=lambda i: _print_key(P.relators[i]),
-                ):
-                    s = P.relators[si].letters
-                    if len(s) < cut or len(s) + length - 2 * cut >= len(s):
+                for si in targets:
+                    length = len(P.relators[si])
+                    if length < cut:
                         continue
-                    doubled = s + s
-                    for start in range(len(s)):
-                        if doubled[start : start + cut] == u:
-                            rotated = s[start:] + s[:start]
-                            new = Word(v_inv + rotated[cut:])
-                            return ri, si, new
+                    for start in range(length):
+                        if doubled[si][start : start + cut] == u:
+                            new = Word(v_inv + doubled[si][start + cut : start + length])
+                            rewritten = P.relators[:si] + (new,) + P.relators[si + 1 :]
+                            return FinitePresentation(P.alphabet, rewritten)
     return None
 
 
-def _find_generator_elimination(
-    P: FinitePresentation,
-) -> tuple[int, Generator, Word] | None:
-    """Locate a relator containing some generator exactly once (up to sign).
+def _generator_elimination(
+    P: FinitePresentation, order: list[int]
+) -> FinitePresentation | None:
+    """Eliminate a generator that some relator contains exactly once, or None.
 
     Such a relator isolates the generator: rotating it to g^s * w gives
     g = w^-s, a guaranteed-safe substitution.  The move is only taken if
-    it does not increase the total relator length.  Returns (relator
-    index, generator, image word).
+    it does not increase the total relator length.  The first relator in
+    ``order`` with such a generator wins, generators in alphabet order.
     """
-    current_total = P.total_relator_length()
-    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    uses = Counter(g for r in P.relators for g, _ in r.letters)
     for ri in order:
         r = P.relators[ri]
+        here = Counter(g for g, _ in r.letters)
         for g in P.alphabet:
-            occurrences = [k for k, (gen, _) in enumerate(r.letters) if gen == g]
-            if len(occurrences) != 1:
+            if here[g] != 1:
                 continue
-            k = occurrences[0]
-            rotated = r.letters[k:] + r.letters[:k]
-            sign = rotated[0][1]
-            w = Word(rotated[1:])
-            image = invert(w) if sign == 1 else w
-            uses = sum(
-                sum(1 for gen, _ in rel.letters if gen == g)
-                for i, rel in enumerate(P.relators)
-                if i != ri
-            )
-            new_total = current_total - len(r) + uses * (len(image) - 1)
-            if new_total > current_total:
+            k = [gen for gen, _ in r.letters].index(g)
+            w = Word(r.letters[k + 1 :] + r.letters[:k])
+            image = invert(w) if r.letters[k][1] == 1 else w
+            # the other uses of g each grow by len(image) - 1; r goes away
+            if (uses[g] - 1) * (len(image) - 1) > len(r):
                 continue
-            return ri, g, image
+            images = {h: image if h == g else Word(((h, 1),)) for h in P.alphabet}
+            kept = (rel for i, rel in enumerate(P.relators) if i != ri)
+            alphabet = tuple(h for h in P.alphabet if h != g)
+            return FinitePresentation(alphabet, tuple(substitute(rel, images) for rel in kept))
     return None
+
+
+def _tietze_move(P: FinitePresentation) -> FinitePresentation | None:
+    """P after one Tietze move, a rewrite before an elimination, or None."""
+    # both searches scan the relators shortest first, ties by printed text
+    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    moved = _subword_rewrite(P, order)
+    return moved if moved is not None else _generator_elimination(P, order)
 
 
 def tietze_simplify(P: FinitePresentation, budget: int) -> TietzeResult:
@@ -309,33 +303,9 @@ def tietze_simplify(P: FinitePresentation, budget: int) -> TietzeResult:
     if budget <= 0:
         raise InputError("tietze budget must be positive")
     steps = 0
-    current = P
-    while steps < budget:
-        rewrite = _find_subword_rewrite(current)
-        if rewrite is not None:
-            ri, si, new_word = rewrite
-            relators = list(current.relators)
-            relators[si] = new_word
-            current = FinitePresentation(current.alphabet, tuple(relators))
-            steps += 1
-            continue
-        elimination = _find_generator_elimination(current)
-        if elimination is not None:
-            ri, g, image = elimination
-            images = {h: Word(((h, 1),)) for h in current.alphabet}
-            images[g] = image
-            relators = tuple(
-                substitute(rel, images)
-                for i, rel in enumerate(current.relators)
-                if i != ri
-            )
-            alphabet = tuple(h for h in current.alphabet if h != g)
-            current = FinitePresentation(alphabet, relators)
-            steps += 1
-            continue
-        return TietzeResult(current, steps, budget_exhausted=False)
-    more = (
-        _find_subword_rewrite(current) is not None
-        or _find_generator_elimination(current) is not None
-    )
-    return TietzeResult(current, steps, budget_exhausted=more)
+    while (moved := _tietze_move(P)) is not None:
+        if steps == budget:
+            return TietzeResult(P, steps, budget_exhausted=True)
+        P = moved
+        steps += 1
+    return TietzeResult(P, steps, budget_exhausted=False)

@@ -88,9 +88,6 @@ class PermutationAssignment:
     alphabet: tuple[Generator, ...]
     images: tuple[Perm, ...]
 
-    def image_of(self, g: Generator) -> Perm:
-        return self.images[self.alphabet.index(g)]
-
     def as_dict(self) -> dict[Generator, Perm]:
         return dict(zip(self.alphabet, self.images))
 
@@ -126,16 +123,14 @@ def find_noncyclic_quotient(
     gens = P.alphabet
     if not gens:
         return None
+    # relators become checkable once all their generators have images
+    checkpoint: list[list[Word]] = [[] for _ in gens]
+    for rel in P.relators:
+        last = max((gens.index(g) for g in rel.generators()), default=0)
+        checkpoint[last].append(rel)
     for degree in range(2, max_degree + 1):
         perms = list(permutations(range(degree)))
         identity = tuple(range(degree))
-        # relators become checkable once all their generators have images
-        support = [rel.generators() for rel in P.relators]
-        checkpoint: list[list[Word]] = [[] for _ in gens]
-        for rel, sup in zip(P.relators, support):
-            last = max((gens.index(g) for g in sup), default=0)
-            checkpoint[last].append(rel)
-
         images: dict[Generator, Perm] = {}
 
         def backtrack(k: int) -> PermutationAssignment | None:

@@ -6,12 +6,19 @@ invariant factors (no transform tracking, first-nonzero pivoting), a
 gcd-of-minors calculation as a second opinion, exact determinants, and
 brute-force permutation-group closure for group orders, and all-rotations
 relator keys over plain ``(name, sign)`` letter sequences.
+
+The one exception is ``tietze_simplify_oracle``: the earlier Tietze
+program, kept verbatim as the reference the current one must match move
+for move, so it builds the package's own presentations and words.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
+
+from pochette.presentations import FinitePresentation, TietzeResult
+from pochette.words import Word, invert, substitute, word_to_text
 
 
 def snf_diagonal_oracle(rows: list[list[int]]) -> list[int]:
@@ -190,3 +197,101 @@ def dedup_relators_oracle(relators) -> list[tuple]:
             seen.add(key)
             kept.append(r)
     return kept
+
+
+def _print_key(w: Word) -> tuple[int, str]:
+    return (len(w), word_to_text(w))
+
+
+def _find_subword_rewrite_oracle(P: FinitePresentation):
+    """Re-sorts the targets and rescans the variants for every cut."""
+    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    for ri in order:
+        r = P.relators[ri]
+        length = len(r)
+        if length == 0:
+            continue
+        variants: list[tuple] = []
+        for base in (r.letters, invert(r).letters):
+            for k in range(max(1, len(base))):
+                rot = base[k:] + base[:k]
+                if rot not in variants:
+                    variants.append(rot)
+        for cut in range(length, length // 2, -1):
+            for variant in variants:
+                u = variant[:cut]
+                v_inv = tuple((g, -s) for g, s in reversed(variant[cut:]))
+                for si in sorted(
+                    (i for i in range(len(P.relators)) if i != ri),
+                    key=lambda i: _print_key(P.relators[i]),
+                ):
+                    s = P.relators[si].letters
+                    if len(s) < cut or len(s) + length - 2 * cut >= len(s):
+                        continue
+                    doubled = s + s
+                    for start in range(len(s)):
+                        if doubled[start : start + cut] == u:
+                            rotated = s[start:] + s[:start]
+                            return ri, si, Word(v_inv + rotated[cut:])
+    return None
+
+
+def _find_generator_elimination_oracle(P: FinitePresentation):
+    """Rescans every relator for each (relator, generator) pair."""
+    current_total = P.total_relator_length()
+    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    for ri in order:
+        r = P.relators[ri]
+        for g in P.alphabet:
+            occurrences = [k for k, (gen, _) in enumerate(r.letters) if gen == g]
+            if len(occurrences) != 1:
+                continue
+            k = occurrences[0]
+            rotated = r.letters[k:] + r.letters[:k]
+            sign = rotated[0][1]
+            w = Word(rotated[1:])
+            image = invert(w) if sign == 1 else w
+            uses = sum(
+                sum(1 for gen, _ in rel.letters if gen == g)
+                for i, rel in enumerate(P.relators)
+                if i != ri
+            )
+            if current_total - len(r) + uses * (len(image) - 1) > current_total:
+                continue
+            return ri, g, image
+    return None
+
+
+def tietze_simplify_oracle(P: FinitePresentation, budget: int) -> TietzeResult:
+    """The earlier Tietze loop: two copied move blocks, a second search at the end."""
+    steps = 0
+    current = P
+    while steps < budget:
+        rewrite = _find_subword_rewrite_oracle(current)
+        if rewrite is not None:
+            ri, si, new_word = rewrite
+            relators = list(current.relators)
+            relators[si] = new_word
+            current = FinitePresentation(current.alphabet, tuple(relators))
+            steps += 1
+            continue
+        elimination = _find_generator_elimination_oracle(current)
+        if elimination is not None:
+            ri, g, image = elimination
+            images = {h: Word(((h, 1),)) for h in current.alphabet}
+            images[g] = image
+            relators = tuple(
+                substitute(rel, images)
+                for i, rel in enumerate(current.relators)
+                if i != ri
+            )
+            alphabet = tuple(h for h in current.alphabet if h != g)
+            current = FinitePresentation(alphabet, relators)
+            steps += 1
+            continue
+        return TietzeResult(current, steps, budget_exhausted=False)
+    more = (
+        _find_subword_rewrite_oracle(current) is not None
+        or _find_generator_elimination_oracle(current) is not None
+    )
+    return TietzeResult(current, steps, budget_exhausted=more)

@@ -171,6 +171,14 @@ class TestSweep:
         assert keys == sorted(keys)
         assert all(k[0] >= 0 for k in keys)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "sweep", "spun-trefoil", "--p-range", "1:1", "--q-range", "1:1",
+            "--jobs", jobs,
+        )
+        assert code == 2 and out == "" and err == "error: --jobs must be at least 1\n"
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "spun-trefoil", "--p-range", "3:1", "--q-range", "1:2"
@@ -298,6 +306,33 @@ class TestBudgetFlags:
     def test_zero_flag_is_input_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("surger", "spun-trefoil", "--slope=1/2", "--max-cosets", "0"),
+             "error: max_cosets must be at least 1, got 0\n"),
+            (("simplify", "spun-trefoil", "--steps", "0"),
+             "error: tietze_steps must be at least 1, got 0\n"),
+            (("cordcheck", "spun-trefoil", "--cord", "y", "--degree", "1"),
+             "error: quotient_degree must be at least 2, got 1\n"),
+        ],
+        ids=["max_cosets", "tietze_steps", "quotient_degree"],
+    )
+    def test_error_names_the_budget(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err == message
+
+    def test_budgets_a_command_does_not_take_are_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("POCHETTE_QUOTIENT_DEGREE", "1")
+        monkeypatch.setenv("POCHETTE_MAX_COSETS", "0")
+        code, _, err = run_cli(capsys, "simplify", "spun-trefoil")
+        assert code == 0, err
+
+    def test_env_budget_the_command_takes_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setenv("POCHETTE_QUOTIENT_DEGREE", "1")
+        code, _, err = run_cli(capsys, "cordcheck", "spun-trefoil", "--cord", "y")
+        assert code == 2 and err == "error: quotient_degree must be at least 2, got 1\n"
 
     def test_negative_enumerate_budget_exits_two(self):
         proc = subprocess.run(

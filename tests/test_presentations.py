@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from pochette.presentations import (
     relators_equivalent,
     tietze_simplify,
 )
+from pochette.ribbon import n_fusion_presentation, random_fusion_data
 from pochette.words import AlphabetMismatch, Generator, Word, invert, parse_word
 
 X = Generator("x")
@@ -215,6 +218,56 @@ def random_presentations():
             max_size=3,
         ).map(lambda rels: FinitePresentation(alphabet, tuple(rels)))
     )
+
+
+def fusion_presentations():
+    """n-fusion knot groups for n <= 10, from seeded random fusion data."""
+    return st.builds(
+        lambda seed, n: n_fusion_presentation(random_fusion_data(random.Random(seed), n)),
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+    )
+
+
+def long_presentations():
+    """Up to three generators and four relators of up to 14 letters."""
+    gens = st.sampled_from([(X, Y), (X, Y, Generator("z"))])
+    return gens.flatmap(
+        lambda alphabet: st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(alphabet), st.sampled_from([1, -1])),
+                min_size=1,
+                max_size=14,
+            ).map(lambda ls: Word(tuple(ls))),
+            max_size=4,
+        ).map(lambda rels: FinitePresentation(alphabet, tuple(rels)))
+    )
+
+
+TIETZE_BUDGETS = st.sampled_from([1, 2, 3, 10_000])
+
+
+class TestTietzeAgainstOracle:
+    """The move loop matches the earlier two-block Tietze program exactly."""
+
+    @staticmethod
+    def check(P, budget):
+        assert tietze_simplify(P, budget) == oracles.tietze_simplify_oracle(P, budget)
+
+    @given(random_presentations(), TIETZE_BUDGETS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_presentations(self, P, budget):
+        self.check(P, budget)
+
+    @given(long_presentations(), TIETZE_BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_long_presentations(self, P, budget):
+        self.check(P, budget)
+
+    @given(fusion_presentations(), TIETZE_BUDGETS)
+    @settings(max_examples=40, deadline=None)
+    def test_fusion_presentations(self, P, budget):
+        self.check(P, budget)
 
 
 class TestTietze:

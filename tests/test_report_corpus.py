@@ -51,6 +51,8 @@ CASES = {
     "abelianize": ("abelianize", "fusion:fusion3.txt"),
     "simplify": ("simplify", "fusion:fusion3.txt"),
     "simplify-exhausted": ("simplify", "fusion:fusion3.txt", "--steps=1"),
+    "simplify-trefoil-40-41": ("simplify", "trefoil-40-41.txt"),
+    "simplify-fusion10": ("simplify", "fusion:fusion10.txt"),
     "surger-env-budget": ("surger", "spun-trefoil", "--slope=40/41"),
     "cordcheck": (
         "cordcheck", "spun-trefoil", "--cord=y", "--degree=4", "--max-cosets=2000",
