@@ -11,8 +11,6 @@ close.
 
 from .abelian import (
     AbelianInvariants,
-    IntegerMatrix,
-    OverflowGuard,
     abelian_invariants,
     hom_to_Z,
     smith_normal_form,

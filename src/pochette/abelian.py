@@ -1,90 +1,27 @@
-"""Integer-matrix Smith normal form and abelian invariants.
+"""Integer Smith normal form and abelian invariants.
 
-All arithmetic is exact over Python integers, so entry growth during
-elimination can never wrap around.  An optional magnitude bound turns
-runaway growth into an explicit OverflowGuard error instead.
+Matrices are plain lists of integer rows.  All arithmetic is exact over
+Python integers, so entry growth during elimination can never wrap
+around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Generator, Word, exponent_sum
 
 __all__ = [
-    "IntegerMatrix",
     "AbelianInvariants",
-    "OverflowGuard",
     "smith_normal_form",
     "abelian_invariants",
     "hom_to_Z",
     "word_image",
     "relator_matrix",
 ]
-
-
-class OverflowGuard(Exception):
-    def __init__(self, bound: int):
-        self.bound = bound
-        super().__init__(f"intermediate entry magnitude exceeded {bound}")
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]  # row-major
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
-        return IntegerMatrix(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def __getitem__(self, index: tuple[int, int]) -> int:
-        i, j = index
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out) if self.rows else IntegerMatrix(0, other.cols, ())
-
-    def diagonal(self) -> list[int]:
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.to_rows())
 
 
 @dataclass(frozen=True)
@@ -127,7 +64,7 @@ class AbelianInvariants:
             out *= d
         return out
 
-    def describe(self) -> str:
+    def __str__(self) -> str:
         parts: list[str] = []
         if self.free_rank == 1:
             parts.append("Z")
@@ -136,33 +73,29 @@ class AbelianInvariants:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def __str__(self) -> str:
-        return self.describe()
 
-
-def _check_bound(mat: list[list[int]], bound: int | None):
-    if bound is None:
-        return
-    for row in mat:
-        for x in row:
-            if abs(x) > bound:
-                raise OverflowGuard(bound)
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(
-    M: IntegerMatrix, magnitude_bound: int | None = None
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Diagonalize M by unimodular transforms: U @ M @ V == S.
+    rows: list[list[int]], ncols: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Diagonalize the matrix M = rows by unimodular transforms: U M V = S.
 
-    S is diagonal with nonnegative entries d1 | d2 | ... and zeros last.
-    Pivots are chosen with minimal nonzero absolute value, ties broken
-    by lowest (row, column) index, which bounds entry growth and makes
-    the run deterministic.
+    ``ncols`` is the column count, which zero rows cannot carry.  S is
+    diagonal with nonnegative entries d1 | d2 | ... and zeros last; S, U
+    and V are new lists of rows and ``rows`` is left untouched.  Pivots
+    are chosen with minimal nonzero absolute value, ties broken by
+    lowest (row, column) index, which bounds entry growth and makes the
+    run deterministic.
     """
-    nrows, ncols = M.rows, M.cols
-    a = M.to_rows()
-    u = IntegerMatrix.identity(nrows).to_rows()
-    v = IntegerMatrix.identity(ncols).to_rows()
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row must have {ncols} entries")
+    nrows = len(rows)
+    a = [list(row) for row in rows]
+    u = _identity(nrows)
+    v = _identity(ncols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -218,7 +151,6 @@ def smith_normal_form(
                 if a[t][j] != 0:
                     add_col(t, j, -(a[t][j] // a[t][t]))
                     reduced = True
-            _check_bound(a, magnitude_bound)
             if reduced:
                 continue
             # pivot row and column are clear; force the pivot to divide
@@ -235,30 +167,26 @@ def smith_normal_form(
             negate_row(t)
         t += 1
 
-    S = IntegerMatrix.from_rows(a) if nrows else IntegerMatrix(0, ncols, ())
-    U = IntegerMatrix.from_rows(u) if nrows else IntegerMatrix(0, 0, ())
-    V = IntegerMatrix.from_rows(v) if ncols else IntegerMatrix(0, 0, ())
-    return S, U, V
+    return a, u, v
 
 
-def relator_matrix(P: FinitePresentation) -> IntegerMatrix:
+def relator_matrix(P: FinitePresentation) -> list[list[int]]:
     """Rows = relators, columns = generators, entries = exponent sums."""
-    rows = [
-        [exponent_sum(rel, g) for g in P.alphabet] for rel in P.relators
-    ]
-    if not rows:
-        return IntegerMatrix(0, len(P.alphabet), ())
-    return IntegerMatrix.from_rows(rows)
+    return [[exponent_sum(rel, g) for g in P.alphabet] for rel in P.relators]
+
+
+def _abelianize(P: FinitePresentation) -> tuple[AbelianInvariants, list[list[int]]]:
+    """Invariants of the cokernel of the relator matrix, and the column transform V."""
+    ncols = len(P.alphabet)
+    S, _, V = smith_normal_form(relator_matrix(P), ncols)
+    diag = [S[i][i] for i in range(min(len(S), ncols))]
+    rank = sum(1 for d in diag if d != 0)
+    return AbelianInvariants(ncols - rank, tuple(d for d in diag if d > 1)), V
 
 
 def abelian_invariants(P: FinitePresentation) -> AbelianInvariants:
     """Invariants of the cokernel of the relator matrix."""
-    M = relator_matrix(P)
-    S, _, _ = smith_normal_form(M)
-    diag = S.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(M.cols - rank, torsion)
+    return _abelianize(P)[0]
 
 
 def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
@@ -268,14 +196,11 @@ def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
     normalized so the first generator with nonzero image maps to a
     positive integer.
     """
-    M = relator_matrix(P)
-    S, _, V = smith_normal_form(M)
-    diag = S.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    if M.cols - rank != 1 or any(d > 1 for d in diag):
+    invariants, V = _abelianize(P)
+    if invariants != AbelianInvariants(1, ()):
         return None
-    free_col = rank  # single zero column of S, after the d_i = 1 block
-    images = {g: V[j, free_col] for j, g in enumerate(P.alphabet)}
+    free_col = len(P.alphabet) - 1  # the single zero column of S comes last
+    images = {g: V[j][free_col] for j, g in enumerate(P.alphabet)}
     lead = next((images[g] for g in P.alphabet if images[g] != 0), None)
     if lead is None:
         raise CertificateError("rank-1 free part must be hit by some generator")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import shlex
@@ -255,7 +256,9 @@ def _sweep_worker(job: tuple) -> dict:
 
 
 def _sweep_rows(jobs: list[tuple], workers: int) -> list[dict]:
-    if workers > 1 and jobs:
+    # the fork start method starts every worker at the first submit
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, jobs))
     return [_sweep_worker(job) for job in jobs]

@@ -172,16 +172,16 @@ def parse_presentation(text: str) -> FinitePresentation:
 
     lineno, rels_text = rels_line
     relators: list[Word] = []
+    offset = len("rels:")  # of the current piece within the stripped line
     for piece in rels_text.split(";"):
-        if not piece.strip():
-            continue
-        try:
-            relators.append(parse_word(piece, alphabet))
-        except InputError as exc:
-            column = rels_text.index(piece) + len("rels:") + 1
-            raise PresentationParseError(
-                lineno, f"column {column}: {exc}"
-            ) from exc
+        if piece.strip():
+            try:
+                relators.append(parse_word(piece, alphabet))
+            except InputError as exc:
+                raise PresentationParseError(
+                    lineno, f"column {offset + 1}: {exc}"
+                ) from exc
+        offset += len(piece) + 1
     try:
         return FinitePresentation(tuple(alphabet), tuple(relators))
     except InputError as exc:

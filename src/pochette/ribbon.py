@@ -169,12 +169,6 @@ def _as_meridian_power(cord: Word, meridian: Word) -> int | None:
     return None
 
 
-def _single_letter(w: Word) -> Generator | None:
-    if len(w) == 1:
-        return w.letters[0][0]
-    return None
-
-
 def cord_triviality(
     P: FinitePresentation,
     meridian: Word,
@@ -206,46 +200,39 @@ def cord_triviality(
             detail=f"cord traced into the meridian subgroup "
             f"(index {membership.index})",
         )
+    overflowed = f"enumeration overflowed at {budgets.max_cosets} cosets"
     if membership.kind == "NotInSubgroup":
-        witness = find_noncyclic_quotient(P, budgets.quotient_degree)
-        if witness is not None:
-            return CordVerdict(
-                "NontrivialCordCertified",
-                witness=witness,
-                membership=membership,
-                detail="membership refuted by a closed enumeration and the group "
-                "is not infinite cyclic",
-            )
-        return CordVerdict(
-            "Unknown",
-            membership=membership,
-            detail="membership refuted but no non-cyclic quotient found within "
-            f"degree {budgets.quotient_degree}",
+        found = (
+            "membership refuted by a closed enumeration and the group "
+            "is not infinite cyclic"
         )
-    # enumeration overflowed: fall back to the two-generator argument
-    mer_gen = _single_letter(meridian)
-    cord_gen = _single_letter(c)
-    if (
+        missing = (
+            "membership refuted but no non-cyclic quotient found within "
+            f"degree {budgets.quotient_degree}"
+        )
+    elif (
+        # enumeration overflowed: fall back to the two-generator argument
         len(P.alphabet) == 2
-        and mer_gen is not None
-        and cord_gen is not None
-        and mer_gen != cord_gen
+        and len(meridian) == len(c) == 1
+        and meridian.letters[0][0] != c.letters[0][0]
         and hom_to_Z(P) is not None
     ):
-        witness = find_noncyclic_quotient(P, budgets.quotient_degree)
-        if witness is not None:
-            return CordVerdict(
-                "NontrivialCordCertified",
-                witness=witness,
-                membership=membership,
-                detail="a trivial cord would make the two-generator group cyclic, "
-                "contradicting the non-cyclic quotient witness",
-            )
-    return CordVerdict(
-        "Unknown",
-        membership=membership,
-        detail=f"enumeration overflowed at {budgets.max_cosets} cosets",
-    )
+        found = (
+            "a trivial cord would make the two-generator group cyclic, "
+            "contradicting the non-cyclic quotient witness"
+        )
+        missing = overflowed
+    else:
+        found, missing = None, overflowed
+    witness = find_noncyclic_quotient(P, budgets.quotient_degree) if found else None
+    if witness is not None:
+        return CordVerdict(
+            "NontrivialCordCertified",
+            witness=witness,
+            membership=membership,
+            detail=found,
+        )
+    return CordVerdict("Unknown", membership=membership, detail=missing)
 
 
 def parse_fusion_file(text: str) -> FusionData:

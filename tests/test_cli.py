@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pochette import cli
 from pochette.cli import _render_text, main
 
 
@@ -178,6 +179,46 @@ class TestSweep:
             "--jobs", jobs,
         )
         assert code == 2 and out == "" and err == "error: --jobs must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, p_range, pools",
+        [
+            ("5000", 64, "1:3", [3]),  # capped at the number of slopes
+            ("5000", 2, "1:3", [2]),  # capped at the number of CPUs
+            ("5000", None, "1:3", []),  # CPU count unknown: serial
+            ("5000", 64, "1:1", []),  # one slope: serial
+            ("2", 64, "1:3", [2]),  # below both caps: as asked
+        ],
+    )
+    def test_jobs_capped_before_the_pool_starts(
+        self, capsys, monkeypatch, jobs, cpus, p_range, pools
+    ):
+        created = []
+
+        class RecordingPool:
+            """Records max_workers and maps in-process; starts no process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = (
+            "sweep", "spun-trefoil", "--p-range", p_range, "--q-range", "1:1",
+            "--max-cosets", "2000",
+        )
+        capped = strip_volatile(run_json(capsys, *argv, "--jobs", jobs))
+        assert created == pools
+        assert capped == strip_volatile(run_json(capsys, *argv, "--jobs", "1"))
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(

@@ -103,6 +103,20 @@ class TestParse:
             parse_presentation("gens: x\nrels: x ; z")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "rels",
+        [
+            # the bad relator's text also occurs inside the first relator
+            "rels: y x^-1 ; x^-",
+            # an empty piece between two separators still counts
+            "rels: x ;; y ; x^0",
+        ],
+    )
+    def test_word_error_column_is_where_the_relator_starts(self, rels):
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(f"gens: x, y\n{rels}")
+        assert str(exc.value).startswith("line 2: column 15: ")
+
     def test_unrecognized_line(self):
         with pytest.raises(PresentationParseError):
             parse_presentation("gens: x\nstuff\nrels:")

@@ -57,6 +57,17 @@ CASES = {
     "cordcheck": (
         "cordcheck", "spun-trefoil", "--cord=y", "--degree=4", "--max-cosets=2000",
     ),
+    "abelianize-torsion": ("abelianize", "torsion.txt"),
+    "cordcheck-meridian-power": ("cordcheck", "spun-trefoil", "--cord=x^3"),
+    "cordcheck-in-subgroup": (
+        "cordcheck", "z6.txt", "--meridian=x", "--cord=y*x*y^-1",
+    ),
+    "cordcheck-not-in-subgroup-unknown": (
+        "cordcheck", "z6.txt", "--meridian=x", "--cord=y", "--degree=4",
+    ),
+    "cordcheck-not-in-subgroup-witness": (
+        "cordcheck", "s3.txt", "--meridian=x", "--cord=y", "--degree=3",
+    ),
 }
 FORMATS = {"txt": "text", "json": "json"}
 # Environment variables a case runs under.
