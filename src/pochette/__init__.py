@@ -18,11 +18,8 @@ from .abelian import (
 )
 from .budgets import Budgets
 from .coset_enum import (
-    Completed,
     CosetTable,
-    EnumerationResult,
     EnumerationVerdict,
-    Overflow,
     certify_trivial,
     enumerate_cosets,
     subgroup_membership,
@@ -44,7 +41,6 @@ from .quotient_search import (
     image_is_cyclic,
 )
 from .ribbon import (
-    CordSpec,
     CordVerdict,
     FusionData,
     InvalidFusionGraph,
@@ -82,7 +78,6 @@ from .words import (
     UnknownGenerator,
     Word,
     ZeroExponent,
-    concat,
     cyclically_reduce,
     exponent_sum,
     invert,

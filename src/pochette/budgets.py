@@ -12,7 +12,7 @@ input error (exit 2) that names the budget.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -33,11 +33,6 @@ class Budgets:
             value = getattr(self, name)
             if value < least:
                 raise InputError(f"{name} must be at least {least}, got {value}")
-
-    @staticmethod
-    def from_env() -> "Budgets":
-        """Defaults, each replaced by its POCHETTE_<FIELD> variable when set."""
-        return Budgets.with_overrides(**{field.name: None for field in fields(Budgets)})
 
     @staticmethod
     def with_overrides(**flags: int | None) -> "Budgets":

@@ -21,7 +21,7 @@ from functools import partial
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
-from .coset_enum import Completed, enumerate_cosets
+from .coset_enum import enumerate_cosets
 from .errors import InputError
 from .presentations import (
     FinitePresentation,
@@ -30,7 +30,6 @@ from .presentations import (
     tietze_simplify,
 )
 from .ribbon import (
-    CordSpec,
     cord_triviality,
     format_fusion,
     load_preset,
@@ -310,15 +309,11 @@ def _enumerate(args, source, timed):
     ]
     budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
     result = timed(enumerate_cosets, P, subgroup, budgets.max_cosets)
-    completed = isinstance(result, Completed)
     options = {"subgroup": args.subgroup or "", "max_cosets": budgets.max_cosets}
     return options, {
         "subgroup": [word_to_text(w) for w in subgroup],
-        "outcome": "Completed" if completed else "Overflow",
-        "index": result.index if completed else None,
-        "cosets_defined": result.cosets_defined,
-        "collapses": result.collapses,
-        "max_cosets": budgets.max_cosets,
+        "outcome": "Overflow" if result.index is None else "Completed",
+        **_enumeration_fields(result, "index"),
     }
 
 
@@ -350,7 +345,7 @@ def _cordcheck(args, source, timed):
     budgets = Budgets.with_overrides(
         max_cosets=args.max_cosets, quotient_degree=args.degree
     )
-    verdict = timed(cord_triviality, P, meridian, CordSpec(cord), budgets)
+    verdict = timed(cord_triviality, P, meridian, cord, budgets)
     witness = None
     if verdict.witness is not None:
         witness = {

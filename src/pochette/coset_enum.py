@@ -12,7 +12,7 @@ first undefined (coset, signed generator) pair in scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .budgets import Budgets
@@ -22,11 +22,8 @@ from .words import Word
 
 __all__ = [
     "CosetTable",
-    "Completed",
-    "Overflow",
-    "EnumerationResult",
-    "enumerate_cosets",
     "EnumerationVerdict",
+    "enumerate_cosets",
     "certify_trivial",
     "subgroup_membership",
 ]
@@ -61,21 +58,25 @@ class CosetTable:
 
 
 @dataclass(frozen=True)
-class Completed:
-    index: int
-    table: CosetTable
+class EnumerationVerdict:
+    """The outcome of one coset enumeration, with its statistics.
+
+    kind is "Completed" from enumerate_cosets, "Trivial" | "NonTrivial"
+    from certify_trivial and "InSubgroup" | "NotInSubgroup" from
+    subgroup_membership.  Any of the three gives "Unknown" when the
+    enumeration hit max_cosets; index and table are then None.
+    Otherwise table is the closed table that certified the index.
+    """
+
+    kind: str
+    index: int | None
     cosets_defined: int
     collapses: int
-
-
-@dataclass(frozen=True)
-class Overflow:
     max_cosets: int
-    cosets_defined: int
-    collapses: int
+    table: CosetTable | None = field(default=None, compare=False, repr=False)
 
-
-EnumerationResult = Completed | Overflow
+    def is_trivial(self) -> bool:
+        return self.kind == "Trivial"
 
 
 def _encode(word: Word, position: dict) -> tuple[int, ...]:
@@ -217,12 +218,12 @@ def enumerate_cosets(
     P: FinitePresentation,
     subgroup: list[Word] | tuple[Word, ...] = (),
     max_cosets: int = Budgets.max_cosets,
-) -> EnumerationResult:
+) -> EnumerationVerdict:
     """Enumerate cosets of the subgroup generated by the given words.
 
-    Completed(n) certifies index n; Overflow makes no claim.  The run is
-    deterministic: definitions are made at the first undefined pair in
-    scan order, with relators traced in presentation order.
+    Kind "Completed" certifies the index; "Unknown" makes no claim.  The
+    run is deterministic: definitions are made at the first undefined
+    pair in scan order, with relators traced in presentation order.
     """
     if max_cosets <= 0:
         raise ValueError("max_cosets must be positive")
@@ -233,10 +234,10 @@ def enumerate_cosets(
 
     rows, defined, collapses = _hlt(nletters, relators, subgroup_words, max_cosets)
     if rows is None:
-        return Overflow(max_cosets, defined, collapses)
-    result = Completed(len(rows), CosetTable(P.alphabet, rows), defined, collapses)
-    _verify_closed(P, subgroup, result.table)
-    return result
+        return EnumerationVerdict("Unknown", None, defined, collapses, max_cosets)
+    table = CosetTable(P.alphabet, rows)
+    _verify_closed(P, subgroup, table)
+    return EnumerationVerdict("Completed", len(rows), defined, collapses, max_cosets, table)
 
 
 def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
@@ -250,43 +251,14 @@ def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
             raise CertificateError("subgroup generator left coset 0")
 
 
-@dataclass(frozen=True)
-class EnumerationVerdict:
-    """A decision read off one coset enumeration, with its statistics.
-
-    kind is "Trivial" | "NonTrivial" for certify_trivial, "InSubgroup" |
-    "NotInSubgroup" for subgroup_membership, and "Unknown" for either
-    when the enumeration overflowed; index is then None.
-    """
-
-    kind: str
-    index: int | None
-    cosets_defined: int
-    collapses: int
-    max_cosets: int
-
-    def is_trivial(self) -> bool:
-        return self.kind == "Trivial"
-
-
-def _verdict(result: EnumerationResult, max_cosets: int, kind: str) -> EnumerationVerdict:
-    """kind for a completed enumeration, Unknown for an overflow."""
-    if isinstance(result, Overflow):
-        return EnumerationVerdict(
-            "Unknown", None, result.cosets_defined, result.collapses, max_cosets
-        )
-    return EnumerationVerdict(
-        kind, result.index, result.cosets_defined, result.collapses, max_cosets
-    )
-
-
 def certify_trivial(
     P: FinitePresentation, max_cosets: int = Budgets.max_cosets
 ) -> EnumerationVerdict:
     """Trivial iff enumeration over the empty subgroup completes with index 1."""
     result = enumerate_cosets(P, (), max_cosets)
-    trivial = isinstance(result, Completed) and result.index == 1
-    return _verdict(result, max_cosets, "Trivial" if trivial else "NonTrivial")
+    if result.kind == "Unknown":
+        return result
+    return replace(result, kind="Trivial" if result.index == 1 else "NonTrivial")
 
 
 def subgroup_membership(
@@ -298,8 +270,10 @@ def subgroup_membership(
     """Decide membership in a finitely generated subgroup, when the index is finite.
 
     With a completed table, the candidate lands on coset 0 iff it lies
-    in the subgroup.  Overflow yields Unknown.
+    in the subgroup.  An overflow yields Unknown.
     """
     result = enumerate_cosets(P, tuple(subgroup_gens), max_cosets)
-    inside = isinstance(result, Completed) and result.table.trace(0, candidate) == 0
-    return _verdict(result, max_cosets, "InSubgroup" if inside else "NotInSubgroup")
+    if result.kind == "Unknown":
+        return result
+    inside = result.table.trace(0, candidate) == 0
+    return replace(result, kind="InSubgroup" if inside else "NotInSubgroup")

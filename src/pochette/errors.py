@@ -9,6 +9,8 @@ program bug, reported as CertificateError (deliberately not an
 InputError).
 """
 
+__all__ = ["InputError", "CertificateError"]
+
 
 class InputError(Exception):
     pass

@@ -139,9 +139,10 @@ def parse_presentation(text: str) -> FinitePresentation:
     separated by ';'.
     """
     gens_line: tuple[int, str] | None = None
-    rels_line: tuple[int, str] | None = None
+    rels_line: tuple[int, str, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        content = raw.split("#", 1)[0]
+        line = content.strip()
         if not line:
             continue
         if line.startswith("gens:"):
@@ -151,7 +152,9 @@ def parse_presentation(text: str) -> FinitePresentation:
         elif line.startswith("rels:"):
             if rels_line is not None:
                 raise PresentationParseError(lineno, "duplicate rels: line")
-            rels_line = (lineno, line[len("rels:"):])
+            # columns count in the line as written, indentation included
+            offset = content.index("rels:") + len("rels:")
+            rels_line = (lineno, line[len("rels:"):], offset)
         else:
             raise PresentationParseError(lineno, f"unrecognized line {line!r}")
     if gens_line is None:
@@ -170,9 +173,8 @@ def parse_presentation(text: str) -> FinitePresentation:
         except InputError as exc:
             raise PresentationParseError(lineno, str(exc)) from exc
 
-    lineno, rels_text = rels_line
+    lineno, rels_text, offset = rels_line  # offset of the current piece
     relators: list[Word] = []
-    offset = len("rels:")  # of the current piece within the stripped line
     for piece in rels_text.split(";"):
         if piece.strip():
             try:

@@ -28,7 +28,6 @@ from .words import Generator, Word, invert, parse_word, word_to_text
 __all__ = [
     "InvalidFusionGraph",
     "FusionData",
-    "CordSpec",
     "CordVerdict",
     "one_fusion_presentation",
     "n_fusion_presentation",
@@ -135,13 +134,6 @@ def spun_trefoil_embedding() -> PochetteEmbeddingData:
 
 
 @dataclass(frozen=True)
-class CordSpec:
-    """A cord, recorded purely by its class in the knot group."""
-
-    cord_word: Word
-
-
-@dataclass(frozen=True)
 class CordVerdict:
     kind: str  # "TrivialCordClass" | "NontrivialCordCertified" | "Unknown"
     witness: PermutationAssignment | None = None
@@ -172,7 +164,7 @@ def _as_meridian_power(cord: Word, meridian: Word) -> int | None:
 def cord_triviality(
     P: FinitePresentation,
     meridian: Word,
-    cord: CordSpec,
+    cord: Word,
     budgets: Budgets = Budgets(),
 ) -> CordVerdict:
     """Classify a cord's double coset against the trivial class.
@@ -185,14 +177,13 @@ def cord_triviality(
     whole group to be cyclic, hence infinite cyclic by abelianization,
     so any non-cyclic finite quotient rules it out.
     """
-    c = cord.cord_word
-    power = _as_meridian_power(c, meridian)
+    power = _as_meridian_power(cord, meridian)
     if power is not None:
         return CordVerdict(
             "TrivialCordClass",
             detail=f"cord is visibly meridian^{power}",
         )
-    membership = subgroup_membership(P, [meridian], c, budgets.max_cosets)
+    membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
     if membership.kind == "InSubgroup":
         return CordVerdict(
             "TrivialCordClass",
@@ -213,8 +204,8 @@ def cord_triviality(
     elif (
         # enumeration overflowed: fall back to the two-generator argument
         len(P.alphabet) == 2
-        and len(meridian) == len(c) == 1
-        and meridian.letters[0][0] != c.letters[0][0]
+        and len(meridian) == len(cord) == 1
+        and meridian.letters[0][0] != cord.letters[0][0]
         and hom_to_Z(P) is not None
     ):
         found = (

@@ -24,7 +24,6 @@ __all__ = [
     "MissingImage",
     "parse_word",
     "word_to_text",
-    "concat",
     "invert",
     "cyclically_reduce",
     "exponent_sum",
@@ -182,13 +181,8 @@ def word_to_text(w: Word) -> str:
     return " ".join(parts)
 
 
-def concat(a: Word, b: Word) -> Word:
-    """Freely reduced product a*b."""
-    return Word(a.letters + b.letters)
-
-
 def invert(w: Word) -> Word:
-    """Reversed letters with flipped signs; concat(w, invert(w)) is the identity."""
+    """Reversed letters with flipped signs; w * invert(w) is the identity."""
     return Word(tuple((gen, -sign) for gen, sign in reversed(w.letters)))
 
 

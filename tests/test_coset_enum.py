@@ -3,15 +3,14 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oracles
 from pochette.coset_enum import (
-    Completed,
     CosetTable,
-    Overflow,
     _verify_closed,
     certify_trivial,
     enumerate_cosets,
@@ -36,7 +35,7 @@ class TestEnumerate:
             oracles.from_cycle(3, (0, 1)),
             oracles.from_cycle(3, (1, 2)),
         ]))
-        assert isinstance(result, Completed)
+        assert result.kind == "Completed"
         assert result.index == expected == 6
 
     def test_cyclic_groups_against_oracle(self):
@@ -44,7 +43,7 @@ class TestEnumerate:
             P = parse_presentation(f"gens: x\nrels: x^{n}")
             result = enumerate_cosets(P)
             expected = len(oracles.mulclose([oracles.from_cycle(n, tuple(range(n)))])) if n > 1 else 1
-            assert isinstance(result, Completed)
+            assert result.kind == "Completed"
             assert result.index == n == expected if n > 1 else result.index == 1
 
     def test_dihedral8_against_oracle(self):
@@ -53,32 +52,33 @@ class TestEnumerate:
             oracles.from_cycle(4, (0, 1, 2, 3)),
             oracles.from_cycle(4, (0, 2)),
         ]))
-        assert isinstance(result, Completed)
+        assert result.kind == "Completed"
         assert result.index == expected == 8
 
     def test_surgered_spun_trefoil_trivial(self):
         result = enumerate_cosets(parse_presentation(SURGERED_SPUN_TREFOIL))
-        assert isinstance(result, Completed) and result.index == 1
+        assert result.kind == "Completed" and result.index == 1
 
     def test_empty_presentation(self):
         result = enumerate_cosets(FinitePresentation((), ()))
-        assert isinstance(result, Completed) and result.index == 1
+        assert result.kind == "Completed" and result.index == 1
 
     def test_free_group_overflows(self):
         result = enumerate_cosets(parse_presentation("gens: x,y\nrels:"), max_cosets=500)
-        assert isinstance(result, Overflow)
+        assert result.kind == "Unknown"
+        assert result.index is None and result.table is None
         assert result.max_cosets == 500
 
     def test_subgroup_index(self):
         P = parse_presentation(S3)
         result = enumerate_cosets(P, [parse_word("a", P.alphabet)])
-        assert isinstance(result, Completed) and result.index == 3
+        assert result.kind == "Completed" and result.index == 3
 
     def test_completed_table_closes_all_relator_traces(self):
         for text in (S3, DIHEDRAL8, SURGERED_SPUN_TREFOIL, "gens: x\nrels: x^12"):
             P = parse_presentation(text)
             result = enumerate_cosets(P)
-            assert isinstance(result, Completed)
+            assert result.kind == "Completed"
             for coset in range(result.index):
                 for rel in P.relators:
                     assert result.table.trace(coset, rel) == coset
@@ -86,10 +86,10 @@ class TestEnumerate:
     def test_monotone_in_max_cosets(self):
         P = parse_presentation(S3)
         small = enumerate_cosets(P, max_cosets=200)
-        assert isinstance(small, Completed)
+        assert small.kind == "Completed"
         for bound in (small.cosets_defined, 1000, 100_000):
             again = enumerate_cosets(P, max_cosets=bound)
-            assert isinstance(again, Completed) and again.index == small.index
+            assert again.kind == "Completed" and again.index == small.index
 
     def test_stable_under_relator_reordering(self):
         base = parse_presentation(S3)
@@ -99,14 +99,14 @@ class TestEnumerate:
             rels = list(base.relators)
             rng.shuffle(rels)
             result = enumerate_cosets(FinitePresentation(base.alphabet, tuple(rels)))
-            assert isinstance(result, Completed)
+            assert result.kind == "Completed"
             indices.add(result.index)
         assert indices == {6}
 
     def test_stable_under_generator_renaming(self):
         renamed = parse_presentation("gens: u,v\nrels: u^2; v^2; u v u v u v")
         result = enumerate_cosets(renamed)
-        assert isinstance(result, Completed) and result.index == 6
+        assert result.kind == "Completed" and result.index == 6
 
     def test_bad_max_cosets(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,8 @@ class TestCertifyTrivial:
 
     def test_unknown_on_overflow(self):
         verdict = certify_trivial(parse_presentation("gens: x,y\nrels:"), max_cosets=100)
-        assert verdict.kind == "Unknown" and verdict.index is None
+        assert verdict.kind == "Unknown"
+        assert verdict.index is None and verdict.table is None
 
 
 class TestSubgroupMembership:
@@ -160,6 +161,7 @@ class TestSubgroupMembership:
             P, [parse_word("x", P.alphabet)], parse_word("y", P.alphabet), max_cosets=300
         )
         assert verdict.kind == "Unknown"
+        assert verdict.index is None and verdict.table is None
 
     def test_cross_check_with_abelian_order(self):
         # abelian group: enumeration order must match the invariant-factor order
@@ -167,7 +169,7 @@ class TestSubgroupMembership:
 
         P = parse_presentation("gens: x,y\nrels: x^4 ; y^6 ; x y x^-1 y^-1")
         result = enumerate_cosets(P)
-        assert isinstance(result, Completed)
+        assert result.kind == "Completed"
         assert result.index == abelian_invariants(P).order() == 24
 
 
@@ -179,7 +181,7 @@ class TestStructuralCertificates:
             for b in range(1, 13):
                 P = parse_presentation(f"gens: x\nrels: x^{a} ; x^{b}")
                 result = enumerate_cosets(P)
-                assert isinstance(result, Completed)
+                assert result.kind == "Completed"
                 assert result.index == gcd(a, b), (a, b)
 
     def test_subgroup_index_divides_group_order(self):
@@ -193,7 +195,7 @@ class TestStructuralCertificates:
                     for _ in range(rng.randint(1, 5))
                 ))
                 result = enumerate_cosets(P, [word])
-                assert isinstance(result, Completed)
+                assert result.kind == "Completed"
                 assert order % result.index == 0, (text, str(word))
 
     def test_completed_table_is_a_permutation_action(self):
@@ -202,7 +204,7 @@ class TestStructuralCertificates:
         for text in (S3, DIHEDRAL8, SURGERED_SPUN_TREFOIL):
             P = parse_presentation(text)
             result = enumerate_cosets(P)
-            assert isinstance(result, Completed)
+            assert result.kind == "Completed"
             rows = result.table.rows
             n = len(rows)
             for column in range(2 * len(P.alphabet)):
@@ -220,20 +222,45 @@ class TestStructuralCertificates:
                 for _ in range(rng.randint(1, max_len))
             ))
 
-        checked = 0
+        # candidates come from their own stream, so the presentations
+        # drawn from rng stay the same
+        candidates = random.Random(1)
+        checked = overflowed = 0
         for _ in range(400):
             relators = tuple(random_word(8) for _ in range(rng.randint(1, 3)))
             P = FinitePresentation((X, Y), relators)
             subgroup = [random_word(4)] if rng.random() < 0.4 else []
             first = enumerate_cosets(P, subgroup, max_cosets=3000)
-            if not isinstance(first, Completed):
+            candidate = Word(tuple(
+                (candidates.choice((X, Y)), candidates.choice((1, -1)))
+                for _ in range(candidates.randint(0, 4))
+            ))
+            # certify_trivial and subgroup_membership report the same
+            # enumeration, relabelled
+            membership = subgroup_membership(P, subgroup, candidate, 3000)
+            verdicts = [membership]
+            if not subgroup:
+                trivial = certify_trivial(P, 3000)
+                verdicts.append(trivial)
+            for verdict in verdicts:
+                assert verdict == replace(first, kind=verdict.kind), (relators, subgroup)
+            if first.kind == "Unknown":
+                assert first.index is None and first.table is None
+                assert all(v.kind == "Unknown" and v.table is None for v in verdicts)
+                overflowed += 1
                 continue
+            assert first.kind == "Completed"
+            assert all(v.table.rows == first.table.rows for v in verdicts)
+            inside = first.table.trace(0, candidate) == 0
+            assert membership.kind == ("InSubgroup" if inside else "NotInSubgroup")
+            if not subgroup:
+                assert trivial.kind == ("Trivial" if first.index == 1 else "NonTrivial")
             reordered = FinitePresentation((X, Y), tuple(reversed(relators)))
             second = enumerate_cosets(reordered, subgroup, max_cosets=50_000)
-            assert isinstance(second, Completed)
+            assert second.kind == "Completed"
             assert first.index == second.index, (relators, subgroup)
             checked += 1
-        assert checked > 100
+        assert checked > 100 and overflowed > 0
 
 
 class TestVerifyClosed:

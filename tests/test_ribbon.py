@@ -14,7 +14,6 @@ from pochette.presentations import (
 )
 from pochette.quotient_search import assignment_satisfies, find_noncyclic_quotient
 from pochette.ribbon import (
-    CordSpec,
     FusionData,
     InvalidFusionGraph,
     cord_triviality,
@@ -134,12 +133,12 @@ class TestCordTriviality:
 
     def test_meridian_power_visibly_trivial(self):
         P = spun_trefoil()
-        verdict = cord_triviality(P, w("x"), CordSpec(w("x^2")), self.BUDGETS)
+        verdict = cord_triviality(P, w("x"), w("x^2"), self.BUDGETS)
         assert verdict.kind == "TrivialCordClass"
 
     def test_spun_trefoil_cord_nontrivial(self):
         P = spun_trefoil()
-        verdict = cord_triviality(P, w("x"), CordSpec(w("y")), self.BUDGETS)
+        verdict = cord_triviality(P, w("x"), w("y"), self.BUDGETS)
         assert verdict.kind == "NontrivialCordCertified"
         assert verdict.witness is not None and verdict.witness.degree <= 3
         assert assignment_satisfies(P, verdict.witness)
@@ -147,7 +146,7 @@ class TestCordTriviality:
     def test_free_group_unknown(self):
         P = FinitePresentation((X, Y), ())
         verdict = cord_triviality(
-            P, w("x"), CordSpec(w("y")), Budgets(max_cosets=200, quotient_degree=3)
+            P, w("x"), w("y"), Budgets(max_cosets=200, quotient_degree=3)
         )
         assert verdict.kind == "Unknown"
 
@@ -158,9 +157,9 @@ class TestCordTriviality:
             (X, Y), (w("y^2"), w("x y x y"), w("x^4"))
         )
         budgets = Budgets(max_cosets=2000, quotient_degree=4)
-        trivial = cord_triviality(P, w("x"), CordSpec(w("x^3 y y^-1")), budgets)
+        trivial = cord_triviality(P, w("x"), w("x^3 y y^-1"), budgets)
         assert trivial.kind == "TrivialCordClass"
-        nontrivial = cord_triviality(P, w("x"), CordSpec(w("y")), budgets)
+        nontrivial = cord_triviality(P, w("x"), w("y"), budgets)
         assert nontrivial.kind == "NontrivialCordCertified"
         assert nontrivial.membership is not None
         assert nontrivial.membership.kind == "NotInSubgroup"
@@ -171,13 +170,13 @@ class TestCordTriviality:
         # subgroup but every quotient cyclic: stays Unknown by design
         P = FinitePresentation((X,), (w("x^5", (X,)),))
         verdict = cord_triviality(
-            P, w("x^2", (X,)), CordSpec(w("x", (X,))), Budgets(max_cosets=100, quotient_degree=3)
+            P, w("x^2", (X,)), w("x", (X,)), Budgets(max_cosets=100, quotient_degree=3)
         )
         # x = (x^2)^3 in Z/5, so membership holds; use a genuine non-member
         assert verdict.kind == "TrivialCordClass"
         Q = FinitePresentation((X, Y), (w("x^3"), w("y^3"), w("x y x^-1 y^-1")))
         verdict = cord_triviality(
-            Q, w("x"), CordSpec(w("y")), Budgets(max_cosets=200, quotient_degree=3)
+            Q, w("x"), w("y"), Budgets(max_cosets=200, quotient_degree=3)
         )
         assert verdict.kind == "Unknown"
         assert verdict.membership.kind == "NotInSubgroup"
@@ -187,7 +186,7 @@ class TestCordTriviality:
         kinds = set()
         for max_cosets in (50, 500, 5000):
             verdict = cord_triviality(
-                P, w("x"), CordSpec(w("y")), Budgets(max_cosets=max_cosets, quotient_degree=3)
+                P, w("x"), w("y"), Budgets(max_cosets=max_cosets, quotient_degree=3)
             )
             kinds.add(verdict.kind)
         assert "TrivialCordClass" not in kinds or "NontrivialCordCertified" not in kinds

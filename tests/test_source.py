@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pochette
@@ -24,3 +25,30 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_names_exist():
+    # a name deleted from a module but still listed in its __all__
+    missing = []
+    for path in SOURCES:
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"pochette.{path.stem}")
+        missing += [
+            f"{path.stem}.{name}" for name in module.__all__ if not hasattr(module, name)
+        ]
+    assert missing == []
+
+
+def test_package_imports_only_exported_names():
+    init = Path(pochette.__file__)
+    unlisted = []
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"pochette.{node.module}").__all__
+            unlisted += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name not in exported
+            ]
+    assert unlisted == []
