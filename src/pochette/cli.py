@@ -220,6 +220,7 @@ def _surger(args, source, timed):
             "kind": inv.verdict.kind,
             "pi1_index": inv.verdict.pi1_index,
             "detail": inv.verdict.detail,
+            "certificate": inv.verdict.certificate,
         },
         "enumeration": _enumeration_fields(inv.enumeration, "index"),
         "epsilon_note": EPSILON_NOTE,

@@ -75,9 +75,6 @@ class EnumerationVerdict:
     max_cosets: int
     table: CosetTable | None = field(default=None, compare=False, repr=False)
 
-    def is_trivial(self) -> bool:
-        return self.kind == "Trivial"
-
 
 def _encode(word: Word, position: dict) -> tuple[int, ...]:
     return tuple(

@@ -5,6 +5,11 @@ presentation with meridian and longitude words) and a surgery slope,
 this module produces the surgered fundamental group, the linking
 number, the homology table, and a 4-sphere verdict.
 
+On a homology 4-sphere the verdict comes from coset enumeration, first
+of the meridian subgroup <m> (index 1 makes pi1 cyclic, so pi1 = H1 = 0)
+and, when that does not close at index 1, of the trivial subgroup, which
+also gives the order of a finite nontrivial pi1.
+
 The positive verdict is a homeomorphism statement: simple connectivity
 plus the right homology pins down the homeomorphism type of a closed
 4-manifold, while smooth classification is beyond algebraic invariants.
@@ -19,7 +24,7 @@ from math import gcd
 
 from .abelian import AbelianInvariants, hom_to_Z, word_image
 from .budgets import Budgets
-from .coset_enum import EnumerationVerdict, certify_trivial
+from .coset_enum import EnumerationVerdict, certify_trivial, enumerate_cosets
 from .errors import InputError
 from .presentations import FinitePresentation, add_relator
 from .words import AlphabetMismatch, Generator, Word, substitute, word_to_text
@@ -201,12 +206,18 @@ class Verdict:
       HomeoS4Certified  - homology trivial and pi1 certified trivial
       NontrivialPi1     - coset enumeration completed with index > 1
       Unknown           - homology trivial but enumeration overflowed
+
+    certificate names the coset enumeration behind a HomeoS4Certified
+    or NontrivialPi1 verdict: "meridian-index-1" when the meridian
+    subgroup <m> has index 1, "regular" when the enumeration over the
+    trivial subgroup completed.  It is None for the other two kinds.
     """
 
     kind: str
     p_plus_q_ell: int
     pi1_index: int | None = None
     detail: str = ""
+    certificate: str | None = None
 
 
 @dataclass(frozen=True)
@@ -239,13 +250,21 @@ def surgery_invariants(
             detail=f"H1 = {homology[1]}, H2 = {homology[2]} (obstruction {obstruction})",
         )
     else:
-        enumeration = certify_trivial(pi1, budgets.max_cosets)
-        if enumeration.kind == "Trivial":
+        # This branch has H1 = 0.  If <m> has index 1 then G = <m> is
+        # cyclic, hence abelian, hence G = H1 = 0: pi1 is trivial.
+        enumeration = enumerate_cosets(pi1, (data.meridian,), budgets.max_cosets)
+        certificate = "meridian-index-1"
+        if enumeration.index != 1:
+            # The regular run also gives the order that NontrivialPi1 reports.
+            enumeration = certify_trivial(pi1, budgets.max_cosets)
+            certificate = "regular"
+        if enumeration.index == 1:
             verdict = Verdict(
                 "HomeoS4Certified",
                 n,
                 pi1_index=1,
                 detail="trivial homology and trivial fundamental group",
+                certificate=certificate,
             )
         elif enumeration.kind == "NonTrivial":
             verdict = Verdict(
@@ -253,6 +272,7 @@ def surgery_invariants(
                 n,
                 pi1_index=enumeration.index,
                 detail=f"fundamental group has order {enumeration.index}",
+                certificate="regular",
             )
         else:
             verdict = Verdict(

@@ -201,11 +201,18 @@ def exponent_sum(w: Word, g: Generator) -> int:
 
 
 def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
-    """Replace each letter by the image of its generator, freely reduced."""
+    """Replace each letter by the image of its generator, freely reduced.
+
+    Each image is inverted at most once per call, not once per letter.
+    """
+    pieces: dict[Letter, tuple[Letter, ...]] = {}
     letters: list[Letter] = []
     for gen, sign in w.letters:
-        if gen not in images:
-            raise MissingImage(gen)
-        image = images[gen] if sign == 1 else invert(images[gen])
-        letters.extend(image.letters)
+        piece = pieces.get((gen, sign))
+        if piece is None:
+            if gen not in images:
+                raise MissingImage(gen)
+            image = images[gen] if sign == 1 else invert(images[gen])
+            piece = pieces[gen, sign] = image.letters
+        letters.extend(piece)
     return Word(tuple(letters))

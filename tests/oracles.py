@@ -7,9 +7,12 @@ gcd-of-minors calculation as a second opinion, exact determinants, and
 brute-force permutation-group closure for group orders, and all-rotations
 relator keys over plain ``(name, sign)`` letter sequences.
 
-The one exception is ``tietze_simplify_oracle``: the earlier Tietze
-program, kept verbatim as the reference the current one must match move
-for move, so it builds the package's own presentations and words.
+The exceptions are earlier versions of package code, kept as the
+references the current code must match, so they build the package's
+own presentations, words and verdicts: ``tietze_simplify_oracle`` (the
+earlier Tietze program, matched move for move), ``substitute_oracle``
+(one inversion per letter) and ``s4_verdict_regular_oracle`` (the S4
+verdict from regular coset enumeration alone).
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, lcm
 
+from pochette.coset_enum import certify_trivial
 from pochette.presentations import FinitePresentation, TietzeResult
-from pochette.words import Word, invert, substitute, word_to_text
+from pochette.surgery import Verdict, linking_number, surgery_pi1
+from pochette.words import MissingImage, Word, invert, substitute, word_to_text
 
 
 def snf_diagonal_oracle(rows: list[list[int]]) -> list[int]:
@@ -295,3 +300,29 @@ def tietze_simplify_oracle(P: FinitePresentation, budget: int) -> TietzeResult:
         or _find_generator_elimination_oracle(current) is not None
     )
     return TietzeResult(current, steps, budget_exhausted=more)
+
+
+def substitute_oracle(w: Word, images) -> Word:
+    """substitute as it was, inverting the image again for every inverse letter."""
+    letters = []
+    for gen, sign in w.letters:
+        if gen not in images:
+            raise MissingImage(gen)
+        image = images[gen] if sign == 1 else invert(images[gen])
+        letters.extend(image.letters)
+    return Word(tuple(letters))
+
+
+def s4_verdict_regular_oracle(data, slope, budgets):
+    """The S4 verdict of a slope with |p + q*linking| = 1, by regular enumeration alone.
+
+    The verdict branch as it was before the meridian subgroup was tried
+    first: pi1 is enumerated over the trivial subgroup only.
+    """
+    n = slope.p + slope.q * linking_number(data)
+    enumeration = certify_trivial(surgery_pi1(data, slope), budgets.max_cosets)
+    if enumeration.kind == "Trivial":
+        return Verdict("HomeoS4Certified", n, pi1_index=1)
+    if enumeration.kind == "NonTrivial":
+        return Verdict("NontrivialPi1", n, pi1_index=enumeration.index)
+    return Verdict("Unknown", n)

@@ -35,6 +35,7 @@ from pochette.surgery import (
     detect_s4,
     linking_number,
     surgery_homology,
+    surgery_invariants,
     surgery_pi1,
     surgery_relator_word,
 )
@@ -113,7 +114,7 @@ def test_criterion_2_fusion_family_triviality(capsys):
                 )
                 P = FinitePresentation((X, Y), (band_relator, slope_relator))
                 verdict = certify_trivial(P, max_cosets=100_000)
-                assert verdict.is_trivial(), (str(w), sign, p, verdict.kind)
+                assert verdict.kind == "Trivial", (str(w), sign, p, verdict.kind)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 485 * 2 * 5
@@ -265,3 +266,22 @@ def test_criterion_7_honest_negatives(capsys):
             "ACCEPTANCE 7 PASS: linking-0 data reports Z/3 homology at slope 3/1 "
             "and Z^2 second homology on the zero branch"
         )
+
+
+def test_spun_trefoil_s4_family_meridian_certified(capsys):
+    # every p/(p+1) and p/(p-1) up to p = 400 at the default budget; the
+    # regular enumeration overflows 100,000 cosets from p of about 225 on
+    start = time.perf_counter()
+    data = spun_trefoil_embedding()
+    checked = 0
+    for p in range(2, 401):
+        for q in (p + 1, p - 1):
+            inv = surgery_invariants(data, SlopeSpec(p, q))
+            assert inv.verdict.kind == "HomeoS4Certified", (p, q, inv.verdict.kind)
+            assert inv.verdict.certificate == "meridian-index-1", (p, q)
+            assert inv.enumeration.index == 1
+            checked += 1
+    elapsed = time.perf_counter() - start
+    assert checked == 2 * 399
+    with capsys.disabled():
+        print(f"ACCEPTANCE S4 family PASS: {checked} spun-trefoil slopes certified by <x> in {elapsed:.1f}s")

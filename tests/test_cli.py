@@ -85,12 +85,24 @@ class TestSurger:
         assert code == 2 and "--meridian" in err
 
     def test_unknown_verdict_still_exits_zero(self, capsys):
+        # <x> needs 3 cosets at slope 1/2, so at 2 both enumerations overflow
         code, out, _ = run_cli(
             capsys, "surger", "spun-trefoil", "--slope", "1/2",
-            "--max-cosets", "5", "--format", "json",
+            "--max-cosets", "2", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["verdict"]["kind"] == "Unknown"
+        verdict = json.loads(out)["verdict"]
+        assert verdict["kind"] == "Unknown"
+        assert verdict["certificate"] is None
+
+    def test_meridian_certificate_reported(self, capsys):
+        # at 5 cosets the regular enumeration overflows but <x> closes
+        report = run_json(
+            capsys, "surger", "spun-trefoil", "--slope", "1/2", "--max-cosets", "5"
+        )
+        assert report["verdict"]["kind"] == "HomeoS4Certified"
+        assert report["verdict"]["certificate"] == "meridian-index-1"
+        assert report["enumeration"]["index"] == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "surger", "nope.txt", "--slope", "1/2")
@@ -322,10 +334,10 @@ class TestGenFusion:
 
 class TestBudgetEnvOverrides:
     def test_max_cosets_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("POCHETTE_MAX_COSETS", "5")
+        monkeypatch.setenv("POCHETTE_MAX_COSETS", "2")
         report = run_json(capsys, "surger", "spun-trefoil", "--slope", "1/2")
         assert report["verdict"]["kind"] == "Unknown"
-        assert report["enumeration"]["max_cosets"] == 5
+        assert report["enumeration"]["max_cosets"] == 2
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("POCHETTE_MAX_COSETS", "many")

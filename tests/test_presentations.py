@@ -301,7 +301,7 @@ class TestTietze:
     def test_surgered_spun_trefoil_simplifies_to_trivial_group(self):
         P = parse_presentation("gens: x,y\nrels: y x^-1 y x y^-1 x ; y^2 x")
         result = tietze_simplify(P, 1000)
-        assert certify_trivial(result.presentation, 10_000).is_trivial()
+        assert certify_trivial(result.presentation, 10_000).kind == "Trivial"
         assert abelian_invariants(result.presentation).is_trivial()
 
     def test_budget_exhaustion_flag(self):

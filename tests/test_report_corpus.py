@@ -29,7 +29,15 @@ CORPUS = Path(__file__).parent / "corpus"
 CASES = {
     "surger-not-sphere": ("surger", "spun-trefoil", "--slope=3/1"),
     "surger-certified": ("surger", "spun-trefoil", "--slope=40/41"),
-    "surger-unknown": ("surger", "spun-trefoil", "--slope=40/41", "--max-cosets=200"),
+    # <x> needs 159 cosets at 40/41, so at 100 both enumerations overflow
+    "surger-unknown": ("surger", "spun-trefoil", "--slope=40/41", "--max-cosets=100"),
+    "surger-meridian-tight": (
+        "surger", "spun-trefoil", "--slope=40/41", "--max-cosets=200",
+    ),
+    "surger-nontrivial-pi1": (
+        "surger", "icosahedral.txt", "--meridian=s^-1*t^2",
+        "--longitude=s*t*s*t*s^-3*t^-2*s", "--slope=1/1", "--max-cosets=5000",
+    ),
     "sweep-spun-jobs1": (
         "sweep", "spun-trefoil", "--p-range=1:6", "--q-range=-3:8", "--jobs=1",
     ),
@@ -71,7 +79,7 @@ CASES = {
 }
 FORMATS = {"txt": "text", "json": "json"}
 # Environment variables a case runs under.
-ENV = {"surger-env-budget": {"POCHETTE_MAX_COSETS": "200"}}
+ENV = {"surger-env-budget": {"POCHETTE_MAX_COSETS": "100"}}
 PLAIN_CASES = {
     "cword": ("cword", "-p", "3", "-q", "-4"),
     "gen-fusion": ("gen-fusion", "--n=3", "--seed=7"),

@@ -2,9 +2,12 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from pochette.abelian import AbelianInvariants, abelian_invariants
 from pochette.budgets import Budgets
+from pochette.coset_enum import certify_trivial, enumerate_cosets
 from pochette.errors import InputError
 from pochette.presentations import (
     format_presentation,
@@ -258,10 +261,22 @@ class TestDetectS4:
         assert inv.homology[1] == AbelianInvariants(0, (3,))
 
     def test_unknown_on_tiny_budget(self):
+        # <x> needs 3 cosets at slope 1/2, so at 2 both enumerations overflow
         verdict = detect_s4(
-            spun_trefoil_embedding(), SlopeSpec(1, 2), Budgets(max_cosets=5)
+            spun_trefoil_embedding(), SlopeSpec(1, 2), Budgets(max_cosets=2)
         )
         assert verdict.kind == "Unknown"
+        assert verdict.certificate is None
+
+    def test_meridian_certifies_within_a_tight_budget(self):
+        # the regular enumeration of 1/2 overflows at 5 cosets; <x> closes in 3
+        inv = surgery_invariants(
+            spun_trefoil_embedding(), SlopeSpec(1, 2), Budgets(max_cosets=5)
+        )
+        assert inv.verdict.kind == "HomeoS4Certified"
+        assert inv.verdict.certificate == "meridian-index-1"
+        assert (inv.enumeration.index, inv.enumeration.cosets_defined) == (1, 3)
+        assert certify_trivial(inv.pi1, 5).kind == "Unknown"
 
     def test_nontrivial_pi1_binary_icosahedral(self):
         # adding (st)^2 s^-3 to <s,t | s^3 t^-5> gives the order-120
@@ -276,6 +291,8 @@ class TestDetectS4:
         inv = surgery_invariants(data, SlopeSpec(1, 1), Budgets(max_cosets=5000))
         assert inv.verdict.kind == "NontrivialPi1"
         assert inv.verdict.pi1_index == 120
+        assert inv.verdict.certificate == "regular"
+        assert inv.enumeration.index == 120
 
     def test_never_certified_without_unit_homology(self):
         rng = random.Random(11)
@@ -286,6 +303,39 @@ class TestDetectS4:
                 if abs(slope.p + slope.q * linking) != 1:
                     verdict = detect_s4(data, slope, Budgets(max_cosets=200))
                     assert verdict.kind != "HomeoS4Certified"
+                    assert verdict.certificate is None
+
+
+class TestMeridianCertificate:
+    """The <m>-first S4 branch against the regular-only branch it replaced."""
+
+    @given(
+        seed=st.integers(0, 999),
+        q=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        n=st.sampled_from((1, -1)),
+        max_cosets=st.sampled_from((100, 300, 1000)),
+    )
+    @settings(max_examples=150, deadline=None)
+    # the one NontrivialPi1 slope (order 120) among these seeds
+    @example(seed=323, q=1, n=1, max_cosets=1000)
+    def test_agrees_with_regular_oracle(self, seed, q, n, max_cosets):
+        data = random_embedding(random.Random(seed))
+        p = n - q * data.linking
+        assume(p > 0 and gcd(p, abs(q)) == 1)
+        slope = SlopeSpec(p, q)
+        budgets = Budgets(max_cosets=max_cosets)
+        verdict = surgery_invariants(data, slope, budgets).verdict
+        expected = oracles.s4_verdict_regular_oracle(data, slope, budgets)
+        meridian = enumerate_cosets(surgery_pi1(data, slope), (data.meridian,), max_cosets)
+        assert (verdict.certificate == "meridian-index-1") == (meridian.index == 1)
+        if expected.kind == "Unknown":
+            # <m> may close where the regular run overflows
+            assert verdict.kind in ("Unknown", "HomeoS4Certified")
+            assert (verdict.kind == "Unknown") == (verdict.certificate is None)
+        else:
+            assert (verdict.kind, verdict.pi1_index) == (expected.kind, expected.pi1_index)
+            assert (meridian.index == 1) == (expected.kind == "HomeoS4Certified")
+            assert verdict.certificate in ("meridian-index-1", "regular")
 
 
 class TestAbelianizationConsistency:

@@ -155,6 +155,17 @@ class TestAlgebra:
         assert substitute(a * b, images) == substitute(a, images) * substitute(b, images)
         assert substitute(invert(a), images) == invert(substitute(a, images))
 
+    @given(words, st.dictionaries(st.sampled_from(ALPHABET), words))
+    def test_substitute_against_oracle(self, word, images):
+        try:
+            expected = oracles.substitute_oracle(word, images)
+        except MissingImage as missing:
+            with pytest.raises(MissingImage) as raised:
+                substitute(word, images)
+            assert raised.value.generator == missing.generator
+        else:
+            assert substitute(word, images) == expected
+
     @given(words)
     def test_structural_equality_is_canonical(self, word):
         rebuilt = Word(word.letters)
