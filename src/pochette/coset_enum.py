@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .abelian import abelian_invariants
 from .budgets import Budgets
 from .errors import CertificateError
 from .presentations import FinitePresentation
@@ -66,6 +67,7 @@ class EnumerationVerdict:
     subgroup_membership.  Any of the three gives "Unknown" when the
     enumeration hit max_cosets; index and table are then None.
     Otherwise table is the closed table that certified the index.
+    subgroup holds the words whose subgroup's cosets were enumerated.
     """
 
     kind: str
@@ -73,6 +75,7 @@ class EnumerationVerdict:
     cosets_defined: int
     collapses: int
     max_cosets: int
+    subgroup: tuple[Word, ...] = ()
     table: CosetTable | None = field(default=None, compare=False, repr=False)
 
 
@@ -230,11 +233,12 @@ def enumerate_cosets(
     subgroup_words = [_encode(w, position) for w in subgroup]
 
     rows, defined, collapses = _hlt(nletters, relators, subgroup_words, max_cosets)
+    stats = (defined, collapses, max_cosets, tuple(subgroup))
     if rows is None:
-        return EnumerationVerdict("Unknown", None, defined, collapses, max_cosets)
+        return EnumerationVerdict("Unknown", None, *stats)
     table = CosetTable(P.alphabet, rows)
     _verify_closed(P, subgroup, table)
-    return EnumerationVerdict("Completed", len(rows), defined, collapses, max_cosets, table)
+    return EnumerationVerdict("Completed", len(rows), *stats, table)
 
 
 def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
@@ -249,9 +253,18 @@ def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
 
 
 def certify_trivial(
-    P: FinitePresentation, max_cosets: int = Budgets.max_cosets
+    P: FinitePresentation, max_cosets: int = Budgets.max_cosets, cyclic: Word | None = None
 ) -> EnumerationVerdict:
-    """Trivial iff enumeration over the empty subgroup completes with index 1."""
+    """Trivial iff enumeration over the empty subgroup completes with index 1.
+
+    Given ``cyclic`` = g, <g> is enumerated first: index 1 makes G = <g> cyclic,
+    so G = H1(G), and a trivial H1 certifies G trivial with that run.  Any other
+    outcome falls back to the trivial subgroup, whose index is also the order of G.
+    """
+    if cyclic is not None:
+        result = enumerate_cosets(P, (cyclic,), max_cosets)
+        if result.index == 1 and abelian_invariants(P).is_trivial():
+            return replace(result, kind="Trivial")
     result = enumerate_cosets(P, (), max_cosets)
     if result.kind == "Unknown":
         return result

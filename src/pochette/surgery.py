@@ -5,10 +5,8 @@ presentation with meridian and longitude words) and a surgery slope,
 this module produces the surgered fundamental group, the linking
 number, the homology table, and a 4-sphere verdict.
 
-On a homology 4-sphere the verdict comes from coset enumeration, first
-of the meridian subgroup <m> (index 1 makes pi1 cyclic, so pi1 = H1 = 0)
-and, when that does not close at index 1, of the trivial subgroup, which
-also gives the order of a finite nontrivial pi1.
+On a homology 4-sphere the verdict comes from coset enumeration, of the
+meridian subgroup first (see coset_enum.certify_trivial).
 
 The positive verdict is a homeomorphism statement: simple connectivity
 plus the right homology pins down the homeomorphism type of a closed
@@ -24,7 +22,7 @@ from math import gcd
 
 from .abelian import AbelianInvariants, hom_to_Z, word_image
 from .budgets import Budgets
-from .coset_enum import EnumerationVerdict, certify_trivial, enumerate_cosets
+from .coset_enum import EnumerationVerdict, certify_trivial
 from .errors import InputError
 from .presentations import FinitePresentation, add_relator
 from .words import AlphabetMismatch, Generator, Word, substitute, word_to_text
@@ -207,10 +205,8 @@ class Verdict:
       NontrivialPi1     - coset enumeration completed with index > 1
       Unknown           - homology trivial but enumeration overflowed
 
-    certificate names the coset enumeration behind a HomeoS4Certified
-    or NontrivialPi1 verdict: "meridian-index-1" when the meridian
-    subgroup <m> has index 1, "regular" when the enumeration over the
-    trivial subgroup completed.  It is None for the other two kinds.
+    certificate is "meridian-index-1" (<m> has index 1) or "regular" (the
+    trivial subgroup's run decided), and None for the other two kinds.
     """
 
     kind: str
@@ -250,15 +246,11 @@ def surgery_invariants(
             detail=f"H1 = {homology[1]}, H2 = {homology[2]} (obstruction {obstruction})",
         )
     else:
-        # This branch has H1 = 0.  If <m> has index 1 then G = <m> is
-        # cyclic, hence abelian, hence G = H1 = 0: pi1 is trivial.
-        enumeration = enumerate_cosets(pi1, (data.meridian,), budgets.max_cosets)
-        certificate = "meridian-index-1"
-        if enumeration.index != 1:
-            # The regular run also gives the order that NontrivialPi1 reports.
-            enumeration = certify_trivial(pi1, budgets.max_cosets)
-            certificate = "regular"
-        if enumeration.index == 1:
+        # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in
+        # about 4p cosets, where the trivial subgroup needs about 2p^2.
+        enumeration = certify_trivial(pi1, budgets.max_cosets, cyclic=data.meridian)
+        certificate = "meridian-index-1" if enumeration.subgroup else "regular"
+        if enumeration.kind == "Trivial":
             verdict = Verdict(
                 "HomeoS4Certified",
                 n,
@@ -272,7 +264,7 @@ def surgery_invariants(
                 n,
                 pi1_index=enumeration.index,
                 detail=f"fundamental group has order {enumeration.index}",
-                certificate="regular",
+                certificate=certificate,
             )
         else:
             verdict = Verdict(

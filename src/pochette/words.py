@@ -201,11 +201,8 @@ def exponent_sum(w: Word, g: Generator) -> int:
 
 
 def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
-    """Replace each letter by the image of its generator, freely reduced.
-
-    Each image is inverted at most once per call, not once per letter.
-    """
-    pieces: dict[Letter, tuple[Letter, ...]] = {}
+    """Replace each letter by the image of its generator, freely reduced."""
+    pieces: dict[Letter, tuple[Letter, ...]] = {}  # each image inverted once per call
     letters: list[Letter] = []
     for gen, sign in w.letters:
         piece = pieces.get((gen, sign))

@@ -95,15 +95,6 @@ class TestSurger:
         assert verdict["kind"] == "Unknown"
         assert verdict["certificate"] is None
 
-    def test_meridian_certificate_reported(self, capsys):
-        # at 5 cosets the regular enumeration overflows but <x> closes
-        report = run_json(
-            capsys, "surger", "spun-trefoil", "--slope", "1/2", "--max-cosets", "5"
-        )
-        assert report["verdict"]["kind"] == "HomeoS4Certified"
-        assert report["verdict"]["certificate"] == "meridian-index-1"
-        assert report["enumeration"]["index"] == 1
-
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "surger", "nope.txt", "--slope", "1/2")
         assert code == 2 and "cannot read" in err

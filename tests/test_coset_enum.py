@@ -135,6 +135,28 @@ class TestCertifyTrivial:
         assert verdict.kind == "Unknown"
         assert verdict.index is None and verdict.table is None
 
+    def test_cyclic_word_certifies_before_the_regular_run(self):
+        # <x> closes in 3 cosets; the trivial subgroup overflows at 5
+        P = parse_presentation(SURGERED_SPUN_TREFOIL)
+        assert certify_trivial(P, 5).kind == "Unknown"
+        verdict = certify_trivial(P, 5, cyclic=parse_word("x", (X, Y)))
+        assert verdict.kind == "Trivial" and verdict.index == 1
+        assert verdict.subgroup == (parse_word("x", (X, Y)),)
+
+    def test_cyclic_index_1_needs_trivial_homology(self):
+        # <x> has index 1 in Z/5, which is cyclic but not trivial
+        P = parse_presentation("gens: x\nrels: x^5")
+        verdict = certify_trivial(P, cyclic=parse_word("x", (X,)))
+        assert verdict.kind == "NonTrivial" and verdict.index == 5
+        assert verdict.subgroup == ()
+
+    def test_cyclic_index_above_1_falls_back(self):
+        P = parse_presentation(S3)
+        a = P.alphabet[0]
+        verdict = certify_trivial(P, cyclic=Word(((a, 1),)))
+        assert verdict.kind == "NonTrivial" and verdict.index == 6
+        assert verdict.subgroup == ()
+
 
 class TestSubgroupMembership:
     def test_dihedral_in_subgroup(self):
