@@ -79,13 +79,15 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    rows: list[list[int]], ncols: int, row_transform: bool = False
+) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]]]:
     """Diagonalize the matrix M = rows by unimodular transforms: U M V = S.
 
     ``ncols`` is the column count, which zero rows cannot carry.  S is
     diagonal with nonnegative entries d1 | d2 | ... and zeros last; S, U
-    and V are new lists of rows and ``rows`` is left untouched.  Pivots
+    and V are new lists of rows and ``rows`` is left untouched.  U is
+    tracked only when ``row_transform`` asks for it, and is None
+    otherwise: abelian invariants need S alone, maps to Z only V.  Pivots
     are chosen with minimal nonzero absolute value, ties broken by
     lowest (row, column) index, which bounds entry growth and makes the
     run deterministic.
@@ -94,12 +96,13 @@ def smith_normal_form(
         raise ValueError(f"every row must have {ncols} entries")
     nrows = len(rows)
     a = [list(row) for row in rows]
-    u = _identity(nrows)
+    u = _identity(nrows) if row_transform else None
     v = _identity(ncols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -109,7 +112,8 @@ def smith_normal_form(
 
     def add_row(src, dst, factor):
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for row in a:
@@ -119,7 +123,8 @@ def smith_normal_form(
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     def min_pivot(t):
         pivot = None

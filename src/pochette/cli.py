@@ -17,7 +17,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
@@ -196,11 +196,18 @@ def _run_report(handler, args) -> int:
     return 0
 
 
+def _invariants_with_pi1(data, slope, budgets):
+    """surgery_invariants with pi1 built, so that wall_ms covers the group it reports."""
+    inv = surgery_invariants(data, slope, budgets)
+    inv.pi1
+    return inv
+
+
 def _surger(args, source, timed):
     slope = _parse_slope(args.slope, args.framing)
     budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
     data, meridian_text, longitude_text = _embedding(args, source)
-    inv = timed(surgery_invariants, data, slope, budgets)
+    inv = timed(_invariants_with_pi1, data, slope, budgets)
     options = {
         "meridian": meridian_text,
         "longitude": longitude_text,
@@ -392,6 +399,7 @@ def _cmd_gen_fusion(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pochette",

@@ -5,8 +5,11 @@ presentation with meridian and longitude words) and a surgery slope,
 this module produces the surgered fundamental group, the linking
 number, the homology table, and a 4-sphere verdict.
 
-On a homology 4-sphere the verdict comes from coset enumeration, of the
-meridian subgroup first (see coset_enum.certify_trivial).
+The homology and the NotHomotopySphere verdict depend only on
+|p + q*linking|, so the surgered group is built on demand: at once on a
+homology 4-sphere, where the verdict comes from coset enumeration, of
+the meridian subgroup first (see coset_enum.certify_trivial), and
+otherwise on the first read of SurgeryInvariants.pi1.
 
 The positive verdict is a homeomorphism statement: simple connectivity
 plus the right homology pins down the homeomorphism type of a closed
@@ -218,13 +221,26 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SurgeryInvariants:
+    """Invariants of one surgery; pi1 is built on its first read.
+
+    Only the S^4 branch needs the surgered group for its verdict, and
+    passes the one it built as ``_pi1``.
+    """
+
+    data: PochetteEmbeddingData
     slope: SlopeSpec
     linking: int
     p_plus_q_ell: int
-    pi1: FinitePresentation
     homology: tuple[AbelianInvariants, ...]
     verdict: Verdict
     enumeration: EnumerationVerdict | None
+    _pi1: FinitePresentation | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def pi1(self) -> FinitePresentation:
+        if self._pi1 is None:
+            object.__setattr__(self, "_pi1", surgery_pi1(self.data, self.slope))
+        return self._pi1
 
 
 def surgery_invariants(
@@ -232,11 +248,11 @@ def surgery_invariants(
     slope: SlopeSpec,
     budgets: Budgets = Budgets(),
 ) -> SurgeryInvariants:
-    """Full pipeline: linking number, surgered group, homology, verdict."""
+    """Full pipeline: linking number, homology, verdict; pi1 when it is needed."""
     linking = linking_number(data)
     n = slope.p + slope.q * linking
-    pi1 = surgery_pi1(data, slope)
     homology = surgery_homology(linking, slope)
+    pi1: FinitePresentation | None = None
     enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
         obstruction = homology[1] if not homology[1].is_trivial() else homology[2]
@@ -248,6 +264,7 @@ def surgery_invariants(
     else:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in
         # about 4p cosets, where the trivial subgroup needs about 2p^2.
+        pi1 = surgery_pi1(data, slope)
         enumeration = certify_trivial(pi1, budgets.max_cosets, cyclic=data.meridian)
         certificate = "meridian-index-1" if enumeration.subgroup else "regular"
         if enumeration.kind == "Trivial":
@@ -275,7 +292,7 @@ def surgery_invariants(
                     "no claim about the fundamental group"
                 ),
             )
-    return SurgeryInvariants(slope, linking, n, pi1, homology, verdict, enumeration)
+    return SurgeryInvariants(data, slope, linking, n, homology, verdict, enumeration, pi1)
 
 
 def detect_s4(

@@ -31,7 +31,7 @@ def identity(n):
 def check_decomposition(rows):
     nrows, ncols = len(rows), len(rows[0])
     before = [list(row) for row in rows]
-    S, U, V = smith_normal_form(rows, ncols)
+    S, U, V = smith_normal_form(rows, ncols, row_transform=True)
     assert rows == before, "the input rows must be left untouched"
     assert [len(row) for row in S] == [ncols] * nrows
     assert [len(row) for row in U] == [nrows] * nrows
@@ -60,7 +60,7 @@ class TestSmithNormalForm:
 
     def test_zero_matrix(self):
         rows = [[0, 0], [0, 0], [0, 0]]
-        S, U, V = smith_normal_form(rows, 2)
+        S, U, V = smith_normal_form(rows, 2, row_transform=True)
         assert S == rows
         assert U == identity(3)
         assert V == identity(2)
@@ -71,10 +71,19 @@ class TestSmithNormalForm:
             assert diagonal(S, 1) == [abs(n)]
 
     def test_empty_shapes(self):
-        S, U, V = smith_normal_form([], 3)
+        S, U, V = smith_normal_form([], 3, row_transform=True)
         assert S == [] and U == [] and V == identity(3)
-        S, U, V = smith_normal_form([[], []], 0)
+        S, U, V = smith_normal_form([[], []], 0, row_transform=True)
         assert S == [[], []] and U == identity(2) and V == []
+
+    def test_row_transform_is_opt_in(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+            S, U, V = smith_normal_form(rows, ncols)
+            tracked_S, _, tracked_V = smith_normal_form(rows, ncols, row_transform=True)
+            assert U is None and (S, V) == (tracked_S, tracked_V)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -180,7 +180,7 @@ def test_criterion_5_engine_oracles(capsys):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-        S, U, V = smith_normal_form(rows, ncols)
+        S, U, V = smith_normal_form(rows, ncols, row_transform=True)
         diagonal = [S[i][i] for i in range(min(nrows, ncols))]
         assert diagonal == oracles.snf_diagonal_oracle(rows), rows
         product = oracles.matmul(oracles.matmul(U, rows), V)

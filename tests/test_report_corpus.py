@@ -124,6 +124,23 @@ def test_plain_output_matches_corpus(case):
     assert _stdout(list(PLAIN_CASES[case])) == expected
 
 
+@pytest.mark.parametrize(
+    "bad_argv",
+    [
+        ("surger", "spun-trefoil", "--slope=3/1", "--bogus"),  # argparse exits 2
+        ("surger", "spun-trefoil", "--slope=3/1", "--max-cosets=0"),  # InputError
+    ],
+)
+def test_bad_call_leaves_the_parser_reusable(bad_argv, monkeypatch):
+    # main builds its parser once per process
+    monkeypatch.chdir(CORPUS)
+    with pytest.raises(SystemExit) as exited:
+        sys.exit(main(list(bad_argv)))
+    assert exited.value.code == 2
+    report = _run(CASES["surger-not-sphere"], "text")
+    assert report == (CORPUS / "surger-not-sphere.txt").read_text()
+
+
 def test_every_subcommand_has_a_case():
     (subparsers,) = [
         action

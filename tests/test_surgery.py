@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from pochette import surgery
 from pochette.abelian import AbelianInvariants, abelian_invariants
 from pochette.budgets import Budgets
+from pochette.cli import main
 from pochette.coset_enum import certify_trivial, enumerate_cosets
 from pochette.errors import InputError
 from pochette.presentations import (
+    add_relator,
     format_presentation,
     parse_presentation,
     relators_equivalent,
@@ -304,6 +308,47 @@ class TestDetectS4:
                     verdict = detect_s4(data, slope, Budgets(max_cosets=200))
                     assert verdict.kind != "HomeoS4Certified"
                     assert verdict.certificate is None
+
+
+class TestPi1OnDemand:
+    """pi1 is built for the S4 verdict, and otherwise on its first read."""
+
+    @pytest.mark.parametrize(
+        "longitude, p, q, kind",
+        [
+            ("y", 1, 2, "HomeoS4Certified"),
+            ("y", 3, 1, "NotHomotopySphere"),
+            # linking 0, so 0/1 is NotHomotopySphere; its relator is the longitude
+            ("x y", 0, 1, "NotHomotopySphere"),
+        ],
+    )
+    def test_equals_surgery_pi1(self, longitude, p, q, kind):
+        P = spun_trefoil()
+        data = PochetteEmbeddingData(
+            P, parse_word("x", P.alphabet), parse_word(longitude, P.alphabet)
+        )
+        slope = SlopeSpec(p, q)
+        inv = surgery_invariants(data, slope)
+        assert inv.verdict.kind == kind
+        unread = surgery_invariants(data, slope)
+        assert inv.pi1 == surgery_pi1(data, slope)
+        assert inv.pi1 is inv.pi1, "built once per SurgeryInvariants"
+        assert inv == unread, "reading pi1 does not change equality"
+
+    def test_sweep_builds_pi1_only_on_unit_rows(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_add_relator(P, w):
+            calls.append(w)
+            return add_relator(P, w)
+
+        monkeypatch.setattr(surgery, "add_relator", counting_add_relator)
+        argv = ["sweep", "spun-trefoil", "--p-range=1:12", "--q-range=-12:12", "--format=json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        unit_rows = sum(abs(row["p_plus_q_ell"]) == 1 for row in rows)
+        assert 0 < unit_rows < len(rows)
+        assert len(calls) == unit_rows
 
 
 class TestMeridianCertificate:
