@@ -228,7 +228,17 @@ def _subword_rewrite(
     strictly shortening s.  Prefers short sources, long matches, short
     targets, all in ``order``.
     """
-    doubled = [r.letters + r.letters for r in P.relators]
+    # letters as small integers, 2i for generator i and 2i + 1 for its
+    # inverse, so that substrings hash without calling Generator.__hash__
+    code = {g: 2 * i for i, g in enumerate(P.alphabet)}
+
+    def coded(w: Word) -> tuple[int, ...]:
+        return tuple(code[g] + (s == -1) for g, s in w.letters)
+
+    doubled = [coded(r) * 2 for r in P.relators]
+    # (target, cut) -> each cyclic substring of that length -> its smallest
+    # start, built on first use and shared by every source and variant
+    starts: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
     for ri in order:
         r = P.relators[ri]
         targets = [si for si in order if si != ri]
@@ -238,21 +248,29 @@ def _subword_rewrite(
         if not cuts:
             continue
         # distinct rotations of r and of r^-1, in first-occurrence order
-        bases = (r.letters, invert(r).letters)
+        bases = (coded(r), coded(invert(r)))
         variants = dict.fromkeys(b[k:] + b[:k] for b in bases for k in range(len(b)))
         for cut in cuts:
             for variant in variants:
                 u = variant[:cut]
-                v_inv = tuple((g, -s) for g, s in reversed(variant[cut:]))
                 for si in targets:
                     length = len(P.relators[si])
                     if length < cut:
                         continue
-                    for start in range(length):
-                        if doubled[si][start : start + cut] == u:
-                            new = Word(v_inv + doubled[si][start + cut : start + length])
-                            rewritten = P.relators[:si] + (new,) + P.relators[si + 1 :]
-                            return FinitePresentation(P.alphabet, rewritten)
+                    table = starts.get((si, cut))
+                    if table is None:
+                        table = starts[si, cut] = {}
+                        for start in range(length):
+                            table.setdefault(doubled[si][start : start + cut], start)
+                    start = table.get(u)
+                    if start is not None:
+                        v_inv = tuple(c ^ 1 for c in reversed(variant[cut:]))
+                        rest = v_inv + doubled[si][start + cut : start + length]
+                        new = Word(
+                            tuple((P.alphabet[c // 2], -1 if c % 2 else 1) for c in rest)
+                        )
+                        rewritten = P.relators[:si] + (new,) + P.relators[si + 1 :]
+                        return FinitePresentation(P.alphabet, rewritten)
     return None
 
 

@@ -11,19 +11,29 @@ The exceptions are earlier versions of package code, kept as the
 references the current code must match, so they build the package's
 own presentations, words and verdicts: ``tietze_simplify_oracle`` (the
 earlier Tietze program, matched move for move), ``substitute_oracle``
-(one inversion per letter) and ``s4_verdict_regular_oracle`` (the S4
-verdict from regular coset enumeration alone).
+(one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
+verdict from regular coset enumeration alone) and
+``find_noncyclic_quotient_oracle`` (the quotient search that composed
+whole permutations of ``Word``s at every node, matched witness for
+witness).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, lcm
 
 from pochette.coset_enum import certify_trivial
+from pochette.errors import CertificateError
 from pochette.presentations import FinitePresentation, TietzeResult
+from pochette.quotient_search import (
+    PermutationAssignment,
+    _word_perm,
+    assignment_satisfies,
+    image_is_cyclic,
+)
 from pochette.surgery import Verdict, linking_number, surgery_pi1
-from pochette.words import MissingImage, Word, invert, substitute, word_to_text
+from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
 
 
 def snf_diagonal_oracle(rows: list[list[int]]) -> list[int]:
@@ -326,3 +336,54 @@ def s4_verdict_regular_oracle(data, slope, budgets):
     if enumeration.kind == "NonTrivial":
         return Verdict("NontrivialPi1", n, pi1_index=enumeration.index)
     return Verdict("Unknown", n)
+
+
+def find_noncyclic_quotient_oracle(
+    P: FinitePresentation, max_degree: int
+) -> PermutationAssignment | None:
+    """The earlier quotient search: each check composes the relator's whole permutation.
+
+    Deterministic first-found order: lowest degree, then lexicographic
+    assignment (generators in alphabet order, each image running through
+    permutations in lexicographic order).  Partial assignments are
+    pruned as soon as a fully supported relator fails.
+    """
+    gens = P.alphabet
+    if not gens:
+        return None
+    # relators become checkable once all their generators have images
+    checkpoint: list[list[Word]] = [[] for _ in gens]
+    for rel in P.relators:
+        last = max((gens.index(g) for g in rel.generators()), default=0)
+        checkpoint[last].append(rel)
+    for degree in range(2, max_degree + 1):
+        perms = list(permutations(range(degree)))
+        identity = tuple(range(degree))
+        images: dict[Generator, tuple[int, ...]] = {}
+
+        def backtrack(k: int) -> PermutationAssignment | None:
+            if k == len(gens):
+                assignment = PermutationAssignment(
+                    degree, gens, tuple(images[g] for g in gens)
+                )
+                if not image_is_cyclic(assignment):
+                    return assignment
+                return None
+            for p in perms:
+                images[gens[k]] = p
+                if all(
+                    _word_perm(rel, images, degree) == identity
+                    for rel in checkpoint[k]
+                ):
+                    found = backtrack(k + 1)
+                    if found is not None:
+                        return found
+            del images[gens[k]]
+            return None
+
+        found = backtrack(0)
+        if found is not None:
+            if not assignment_satisfies(P, found):
+                raise CertificateError("quotient witness violates a relator")
+            return found
+    return None

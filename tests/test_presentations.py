@@ -285,6 +285,15 @@ class TestTietzeAgainstOracle:
     def test_fusion_presentations(self, P, budget):
         self.check(P, budget)
 
+    @pytest.mark.parametrize("second", ["x y^-1", "x y"], ids=["no-move", "rewrite"])
+    def test_two_long_relators(self, second):
+        # (x y)^40 x^2 shares no long substring with (x y^-1)^40 y^3, so no
+        # move applies; it shares (x y)^40 with (x y)^40 y^3, rewritten to x^-2 y^3
+        first = " ".join(["x y"] * 40)
+        second = " ".join([second] * 40)
+        P = parse_presentation(f"gens: x, y\nrels: {first} x^2 ; {second} y^3")
+        self.check(P, 10)
+
 
 class TestTietze:
     def test_eliminates_to_empty(self):

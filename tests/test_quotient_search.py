@@ -1,7 +1,11 @@
+import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from pochette import quotient_search
 from pochette.errors import CertificateError
 from pochette.presentations import parse_presentation
@@ -11,7 +15,15 @@ from pochette.quotient_search import (
     find_noncyclic_quotient,
     image_is_cyclic,
 )
-from pochette.ribbon import spun_trefoil
+from pochette.ribbon import (
+    n_fusion_presentation,
+    one_fusion_presentation,
+    random_fusion_data,
+    spun_trefoil,
+)
+from pochette.words import Generator, Word
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def exhaustive_search_oracle(P, degree):
@@ -68,6 +80,80 @@ class TestFindNoncyclicQuotient:
         monkeypatch.setattr(quotient_search, "assignment_satisfies", lambda P, found: False)
         with pytest.raises(CertificateError):
             find_noncyclic_quotient(spun_trefoil(), 3)
+
+
+def one_fusion_groups():
+    """< x, y | w x w^-1 y^sign > for random band words w of up to 6 letters."""
+    return st.builds(
+        lambda letters, sign: one_fusion_presentation(Word(tuple(letters)), sign),
+        st.lists(
+            st.tuples(
+                st.sampled_from([Generator("x"), Generator("y")]), st.sampled_from([1, -1])
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([1, -1]),
+    )
+
+
+def fusion_groups():
+    """2- and 3-fusion knot groups from seeded random fusion data."""
+    return st.builds(
+        lambda seed, n: n_fusion_presentation(random_fusion_data(random.Random(seed), n)),
+        st.integers(0, 2**32),
+        st.integers(2, 3),
+    )
+
+
+def abelian_groups():
+    """Z/a x Z/b as < x, y | x^a ; y^b ; [x, y] >, with no x^a when a = 0 (Z x Z/b)."""
+    return st.builds(
+        lambda a, b: parse_presentation(
+            f"gens: x, y\nrels: {f'x^{a} ;' if a else ''} y^{b} ; x y x^-1 y^-1"
+        ),
+        st.sampled_from([0, 2, 3, 4]),
+        st.integers(1, 6),
+    )
+
+
+class TestAgainstOracle:
+    """The compiled search returns the earlier search's first witness, or None.
+
+    Each search runs every degree from 2 up, so a fixed cap covers the
+    lower degrees too.
+    """
+
+    @staticmethod
+    def check(P, degree):
+        assert find_noncyclic_quotient(P, degree) == oracles.find_noncyclic_quotient_oracle(
+            P, degree
+        )
+
+    @given(one_fusion_groups())
+    @settings(max_examples=30, deadline=None)
+    def test_one_fusion_groups(self, P):
+        self.check(P, 5)
+
+    @given(fusion_groups())
+    @settings(max_examples=30, deadline=None)
+    def test_fusion_groups(self, P):
+        self.check(P, 4)
+
+    @given(abelian_groups())
+    @settings(max_examples=30, deadline=None)
+    def test_abelian_groups(self, P):
+        self.check(P, 5)
+
+    def test_relator_over_a_later_generator_alone(self):
+        # y^3 filters y's candidates; the first witness still comes from
+        # the lexicographic order over x, then y
+        P = parse_presentation("gens: x, y, z\nrels: z^2 ; y^3 ; x y x^-1 y^-1 z")
+        self.check(P, 4)
+
+    def test_z6_corpus_has_no_witness_at_degree_seven(self):
+        # Z/2 x Z/3 is cyclic, so the search is exhaustive and finds nothing
+        P = parse_presentation((CORPUS / "z6.txt").read_text())
+        assert find_noncyclic_quotient(P, 7) is None
 
 
 class TestImageIsCyclic:
