@@ -4,16 +4,24 @@ Relator tracing with immediate coincidence processing via union-find
 collapse.  Completion certifies the subgroup index exactly; hitting the
 coset bound is a verdict ("no claim"), not an error.
 
-The table layout follows the classical presentation in Holt, Eick,
-O'Brien, "Handbook of Computational Group Theory", ch. 5: one row per
-coset, one column per signed generator, with definitions made at the
-first undefined (coset, signed generator) pair in scan order.
+The method follows the classical presentation in Holt, Eick, O'Brien,
+"Handbook of Computational Group Theory", ch. 5, with definitions made
+at the first undefined (coset, signed generator) pair in scan order.
+While it runs the table is kept by column, one list per signed letter
+indexed by coset, and every relator and subgroup word is compiled once
+to its lists of columns.  The closed table it returns
+(``CosetTable.rows``, one row per coset) and the statistics a report
+prints (cosets defined, collapses) are those of the row-per-coset
+layout.  ``_verify_closed`` re-checks every closed table: the columns
+must form a transitive permutation action, and every relator and
+subgroup word must close.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
@@ -85,10 +93,6 @@ def _encode(word: Word, position: dict) -> tuple[int, ...]:
     )
 
 
-class _CosetBoundHit(Exception):
-    """A definition was needed with max_cosets cosets already in the table."""
-
-
 def _hlt(
     nletters: int,
     relators: list[tuple[int, ...]],
@@ -100,12 +104,31 @@ def _hlt(
     Returns (rows, defined, collapses); rows is None when the coset
     bound was hit.  On success rows is the closed table over the live
     cosets, renumbered in order: every relator and subgroup-generator
-    scan closes.  Dead rows stay in the table, so ``defined`` is its
-    length.
+    scan closes.  Dead cosets keep their numbers, so ``defined`` is the
+    number of cosets ever made.
+
+    The table is kept by column, ``cols[lt][coset]``, and each word is
+    compiled to its forward columns and to the inverse letters' columns
+    for the backward scan, so a scan step is ``f = fw[i][f]``.  Columns
+    grow in place, in chunks, so the compiled lists stay valid.
     """
-    table: list[list[int]] = [[UNDEF] * nletters]
-    parent: list[int] = [0]
+    cap = min(max_cosets, 256)
+    cols = [[UNDEF] * cap for _ in range(nletters)]
+    parent = list(range(cap))
+    pairs = [(cols[lt], cols[lt ^ 1]) for lt in range(nletters)]
+    n = 1
     collapses = 0
+
+    def compile_scan(word: tuple[int, ...]):
+        return [cols[lt] for lt in word], [cols[lt ^ 1] for lt in word], len(word) - 1
+
+    def grow():
+        extra = min(cap, max_cosets - cap)
+        chunk = [UNDEF] * extra
+        for col in cols:
+            col.extend(chunk)
+        parent.extend(range(cap, cap + extra))
+        return cap + extra
 
     def rep(k: int) -> int:
         r = k
@@ -115,103 +138,129 @@ def _hlt(
             parent[k], k = r, parent[k]
         return r
 
-    def define(coset: int, lt: int):
-        """Make coset.lt a fresh coset; raise _CosetBoundHit at the bound."""
-        beta = len(table)
-        if beta >= max_cosets:
-            raise _CosetBoundHit
-        table.append([UNDEF] * nletters)
-        parent.append(beta)
-        table[coset][lt] = beta
-        table[beta][lt ^ 1] = coset
+    def coincidence(x: int, y: int) -> int:
+        """Merge x and y and every coincidence they force; return the merges.
 
-    def coincidence(x: int, y: int):
-        nonlocal collapses
+        Merges only happen while pending drains, so a dead coset's
+        representative is fixed while its row is moved.
+        """
+        merged = 0
         pending = [(x, y)]
         dead: list[int] = []
         head = 0
         while True:
             while pending:
                 x, y = pending.pop()
-                x, y = rep(x), rep(y)
+                if parent[x] != x:
+                    x = rep(x)
+                if parent[y] != y:
+                    y = rep(y)
                 if x == y:
                     continue
                 if x > y:
                     x, y = y, x
                 parent[y] = x
-                collapses += 1
+                merged += 1
                 dead.append(y)
             if head == len(dead):
-                return
+                return merged
             gamma = dead[head]
             head += 1
-            row = table[gamma]
-            for lt in range(nletters):
-                delta = row[lt]
+            mu = rep(gamma)
+            for col, inv in pairs:
+                delta = col[gamma]
                 if delta == UNDEF:
                     continue
-                table[delta][lt ^ 1] = UNDEF
-                mu = rep(gamma)
-                nu = rep(delta)
-                if table[mu][lt] != UNDEF:
-                    pending.append((nu, table[mu][lt]))
-                elif table[nu][lt ^ 1] != UNDEF:
-                    pending.append((mu, table[nu][lt ^ 1]))
+                inv[delta] = UNDEF
+                nu = delta if parent[delta] == delta else rep(delta)
+                image = col[mu]
+                if image != UNDEF:
+                    pending.append((nu, image))
+                    continue
+                image = inv[nu]
+                if image != UNDEF:
+                    pending.append((mu, image))
                 else:
-                    table[mu][lt] = nu
-                    table[nu][lt ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
 
-    def scan_and_fill(alpha: int, word: tuple[int, ...]):
-        f = alpha
-        i = 0
-        b = alpha
-        j = len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] != UNDEF:
-                f = table[f][word[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][word[j] ^ 1] != UNDEF:
-                b = table[b][word[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            define(f, word[i])
-
-    try:
-        for word in subgroup:
-            scan_and_fill(0, word)
-        # Coincidences may re-open entries of already-processed cosets, so
-        # sweep until a pass leaves every live row closed.
-        while True:
-            alpha = 0
-            while alpha < len(table):
-                if parent[alpha] == alpha:
-                    for word in relators:
-                        scan_and_fill(alpha, word)
-                        if parent[alpha] != alpha:
+    relator_scans = [compile_scan(w) for w in relators]
+    # coset 0 never dies, so its first visit scans the subgroup words first
+    scans = [compile_scan(w) for w in subgroup] + relator_scans
+    # Coincidences may re-open entries of already-processed cosets, so
+    # sweep until a pass leaves every live row closed.
+    while True:
+        alpha = 0
+        while alpha < n:
+            if parent[alpha] == alpha:
+                for fw, bw, last in scans:
+                    f = b = alpha
+                    i = 0
+                    j = last
+                    while True:
+                        while i <= j:
+                            g = fw[i][f]
+                            if g == UNDEF:
+                                break
+                            f = g
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                collapses += coincidence(f, b)
                             break
-                    if parent[alpha] == alpha:
-                        for lt in range(nletters):
-                            if table[alpha][lt] == UNDEF:
-                                define(alpha, lt)
-                alpha += 1
-            live = [c for c in range(len(table)) if parent[c] == c]
-            if all(UNDEF not in table[c] for c in live):
-                break
-    except _CosetBoundHit:
-        return None, len(table), collapses
-    relabel = {c: i for i, c in enumerate(live)}
-    rows = tuple(tuple(relabel[rep(entry)] for entry in table[c]) for c in live)
-    return rows, len(table), collapses
+                        while j >= i:
+                            g = bw[j][b]
+                            if g == UNDEF:
+                                break
+                            b = g
+                            j -= 1
+                        if j < i:
+                            collapses += coincidence(f, b)
+                            break
+                        if j == i:
+                            fw[i][f] = b
+                            bw[i][b] = f
+                            break
+                        # define f.word[i] as a new coset
+                        if n >= max_cosets:
+                            return None, n, collapses
+                        if n == cap:
+                            cap = grow()
+                        fw[i][f] = n
+                        bw[i][n] = f
+                        n += 1
+                    if parent[alpha] != alpha:
+                        break
+                scans = relator_scans
+                if parent[alpha] == alpha:
+                    for col, inv in pairs:
+                        if col[alpha] == UNDEF:
+                            if n >= max_cosets:
+                                return None, n, collapses
+                            if n == cap:
+                                cap = grow()
+                            col[alpha] = n
+                            inv[n] = alpha
+                            n += 1
+            alpha += 1
+        live = [c for c in range(n) if parent[c] == c]
+        closed = [[col[c] for c in live] for col in cols]
+        if all(UNDEF not in column for column in closed):
+            break
+    # a dead coset's parent is a smaller coset, so one pass in order gives
+    # every coset the new number of its live representative
+    label = [0] * n
+    k = 0
+    for c in range(n):
+        if parent[c] == c:
+            label[c] = k
+            k += 1
+        else:
+            label[c] = label[parent[c]]
+    if not cols:
+        return ((),), n, collapses
+    rows = tuple(zip(*([label[e] for e in column] for column in closed)))
+    return rows, n, collapses
 
 
 def enumerate_cosets(
@@ -241,14 +290,57 @@ def enumerate_cosets(
     return EnumerationVerdict("Completed", len(rows), *stats, table)
 
 
+def _after(image: tuple[int, ...], column) -> tuple[int, ...]:
+    """column[image[c]] for every c (itemgetter of one key gives a bare item)."""
+    return itemgetter(*image)(column) if len(image) > 1 else (column[image[0]],)
+
+
 def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
-    """Certify the completion claim: all scans must return to their start."""
-    for c in range(len(table.rows)):
-        for rel in P.relators:
-            if table.trace(c, rel) != c:
-                raise CertificateError("relator trace failed to close")
+    """Certify the completion claim: a transitive action that closes every scan.
+
+    Each column must be a permutation of the cosets whose inverse is the
+    inverse letter's column, and every coset must be reachable from coset
+    0; only then do the traces below prove [G : H] >= the table's size.
+    Every relator must then fix every coset, and every subgroup word coset
+    0.  Words are integer-coded and traced column by column.
+    """
+    rows = table.rows
+    n = len(rows)
+    nletters = 2 * len(table.alphabet)
+    if n == 0 or any(len(row) != nletters for row in rows):
+        raise CertificateError("coset table has the wrong shape")
+    columns = list(zip(*rows))
+    identity = tuple(range(n))
+    for lt, column in enumerate(columns):
+        # in range and undone by the inverse column: a permutation
+        if not (0 <= min(column) and max(column) < n) or _after(
+            column, columns[lt ^ 1]
+        ) != identity:
+            raise CertificateError("coset table column is not a permutation")
+    # the columns are permutations, so the generators' columns reach the orbit
+    reached = [True] + [False] * (n - 1)
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        for column in columns[::2]:
+            d = column[c]
+            if not reached[d]:
+                reached[d] = True
+                stack.append(d)
+    if not all(reached):
+        raise CertificateError("coset not reachable from coset 0")
+    position = {g: i for i, g in enumerate(table.alphabet)}
+    for rel in P.relators:
+        image = identity
+        for lt in _encode(rel, position):
+            image = _after(image, columns[lt])
+        if image != identity:
+            raise CertificateError("relator trace failed to close")
     for w in subgroup:
-        if table.trace(0, w) != 0:
+        c = 0
+        for lt in _encode(w, position):
+            c = columns[lt][c]
+        if c != 0:
             raise CertificateError("subgroup generator left coset 0")
 
 

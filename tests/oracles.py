@@ -12,10 +12,11 @@ references the current code must match, so they build the package's
 own presentations, words and verdicts: ``tietze_simplify_oracle`` (the
 earlier Tietze program, matched move for move), ``substitute_oracle``
 (one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
-verdict from regular coset enumeration alone) and
+verdict from regular coset enumeration alone),
 ``find_noncyclic_quotient_oracle`` (the quotient search that composed
 whole permutations of ``Word``s at every node, matched witness for
-witness).
+witness) and ``hlt_oracle`` (the row-per-coset HLT kernel, matched
+definition for definition on integer-coded words).
 """
 
 from __future__ import annotations
@@ -387,3 +388,138 @@ def find_noncyclic_quotient_oracle(
                 raise CertificateError("quotient witness violates a relator")
             return found
     return None
+
+
+UNDEF = -1
+
+
+class _CosetBoundHit(Exception):
+    """A definition was needed with max_cosets cosets already in the table."""
+
+
+def hlt_oracle(
+    nletters: int,
+    relators: list[tuple[int, ...]],
+    subgroup: list[tuple[int, ...]],
+    max_cosets: int,
+) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
+    """The earlier HLT kernel: a row per coset, ``table[coset][letter]``.
+
+    Matched by ``coset_enum._hlt`` definition for definition and
+    coincidence for coincidence.
+
+    Returns (rows, defined, collapses); rows is None when the coset
+    bound was hit.  On success rows is the closed table over the live
+    cosets, renumbered in order: every relator and subgroup-generator
+    scan closes.  Dead rows stay in the table, so ``defined`` is its
+    length.
+    """
+    table: list[list[int]] = [[UNDEF] * nletters]
+    parent: list[int] = [0]
+    collapses = 0
+
+    def rep(k: int) -> int:
+        r = k
+        while parent[r] != r:
+            r = parent[r]
+        while parent[k] != r:
+            parent[k], k = r, parent[k]
+        return r
+
+    def define(coset: int, lt: int):
+        """Make coset.lt a fresh coset; raise _CosetBoundHit at the bound."""
+        beta = len(table)
+        if beta >= max_cosets:
+            raise _CosetBoundHit
+        table.append([UNDEF] * nletters)
+        parent.append(beta)
+        table[coset][lt] = beta
+        table[beta][lt ^ 1] = coset
+
+    def coincidence(x: int, y: int):
+        nonlocal collapses
+        pending = [(x, y)]
+        dead: list[int] = []
+        head = 0
+        while True:
+            while pending:
+                x, y = pending.pop()
+                x, y = rep(x), rep(y)
+                if x == y:
+                    continue
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                collapses += 1
+                dead.append(y)
+            if head == len(dead):
+                return
+            gamma = dead[head]
+            head += 1
+            row = table[gamma]
+            for lt in range(nletters):
+                delta = row[lt]
+                if delta == UNDEF:
+                    continue
+                table[delta][lt ^ 1] = UNDEF
+                mu = rep(gamma)
+                nu = rep(delta)
+                if table[mu][lt] != UNDEF:
+                    pending.append((nu, table[mu][lt]))
+                elif table[nu][lt ^ 1] != UNDEF:
+                    pending.append((mu, table[nu][lt ^ 1]))
+                else:
+                    table[mu][lt] = nu
+                    table[nu][lt ^ 1] = mu
+
+    def scan_and_fill(alpha: int, word: tuple[int, ...]):
+        f = alpha
+        i = 0
+        b = alpha
+        j = len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] != UNDEF:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] != UNDEF:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    try:
+        for word in subgroup:
+            scan_and_fill(0, word)
+        # Coincidences may re-open entries of already-processed cosets, so
+        # sweep until a pass leaves every live row closed.
+        while True:
+            alpha = 0
+            while alpha < len(table):
+                if parent[alpha] == alpha:
+                    for word in relators:
+                        scan_and_fill(alpha, word)
+                        if parent[alpha] != alpha:
+                            break
+                    if parent[alpha] == alpha:
+                        for lt in range(nletters):
+                            if table[alpha][lt] == UNDEF:
+                                define(alpha, lt)
+                alpha += 1
+            live = [c for c in range(len(table)) if parent[c] == c]
+            if all(UNDEF not in table[c] for c in live):
+                break
+    except _CosetBoundHit:
+        return None, len(table), collapses
+    relabel = {c: i for i, c in enumerate(live)}
+    rows = tuple(tuple(relabel[rep(entry)] for entry in table[c]) for c in live)
+    return rows, len(table), collapses

@@ -7,10 +7,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from pochette.coset_enum import (
     CosetTable,
+    _encode,
+    _hlt,
     _verify_closed,
     certify_trivial,
     enumerate_cosets,
@@ -18,6 +21,8 @@ from pochette.coset_enum import (
 )
 from pochette.errors import CertificateError, InputError
 from pochette.presentations import FinitePresentation, parse_presentation
+from pochette.ribbon import spun_trefoil_embedding
+from pochette.surgery import SlopeSpec, surgery_pi1
 from pochette.words import Generator, Word, parse_word
 
 X = Generator("x")
@@ -26,6 +31,7 @@ Y = Generator("y")
 S3 = "gens: a,b\nrels: a^2; b^2; a b a b a b"
 DIHEDRAL8 = "gens: x,y\nrels: y^2; x y x y; x^4"
 SURGERED_SPUN_TREFOIL = "gens: x,y\nrels: y x^-1 y x y^-1 x ; y^2 x"
+ORDER_10752 = "gens: a, b\nrels: a^8 ; b^7 ; a b a b ; a^-1 b a^-1 b a^-1 b"
 
 
 class TestEnumerate:
@@ -111,6 +117,74 @@ class TestEnumerate:
     def test_bad_max_cosets(self):
         with pytest.raises(ValueError):
             enumerate_cosets(parse_presentation("gens: x\nrels: x"), max_cosets=0)
+
+
+@st.composite
+def coded_presentations(draw, subgroup_words):
+    """(nletters, relators, subgroup) over 2 or 3 generators, letters coded as ints."""
+    nletters = 2 * draw(st.sampled_from((2, 3)))
+    letters = st.integers(0, nletters - 1)
+    relators = draw(st.lists(
+        st.lists(letters, min_size=1, max_size=8).map(tuple), min_size=1, max_size=3
+    ))
+    subgroup = draw(st.lists(
+        st.lists(letters, min_size=1, max_size=4).map(tuple),
+        min_size=subgroup_words[0], max_size=subgroup_words[1],
+    ))
+    return nletters, relators, subgroup
+
+
+class TestKernelAgainstOracle:
+    """The column kernel matches the row-per-coset kernel it replaced.
+
+    Equal (rows, defined, collapses) means every definition and every
+    coincidence happened in the same order.
+    """
+
+    def check(self, nletters, relators, subgroup, max_cosets=2000):
+        expected = oracles.hlt_oracle(nletters, relators, subgroup, max_cosets)
+        assert _hlt(nletters, relators, subgroup, max_cosets) == expected
+        rows, defined, _ = expected
+        budgets = {1}
+        if rows is not None:
+            # exactly enough cosets, and one short of them (an overflow)
+            budgets |= {defined, defined - 1} - {0}
+        for budget in sorted(budgets):
+            expected = oracles.hlt_oracle(nletters, relators, subgroup, budget)
+            assert _hlt(nletters, relators, subgroup, budget) == expected, budget
+            if rows is not None and budget == defined - 1:
+                assert expected[0] is None
+
+    @given(coded_presentations(subgroup_words=(0, 0)))
+    @settings(max_examples=150, deadline=None)
+    @example((4, [(0, 0), (2, 2), (0, 2, 0, 2, 0, 2)], []))  # S3
+    def test_random_presentations(self, case):
+        self.check(*case)
+
+    @given(coded_presentations(subgroup_words=(1, 2)))
+    @settings(max_examples=150, deadline=None)
+    @example((4, [(0, 0), (2, 2), (0, 2, 0, 2, 0, 2)], [(0,)]))  # S3 over <a>
+    def test_random_presentations_with_subgroup(self, case):
+        self.check(*case)
+
+    def test_spun_trefoil_meridian_runs(self):
+        # the <x> enumerations of the S4 branch: p/(p+1) and p/(p-1), p <= 400
+        data = spun_trefoil_embedding()
+        for p in range(2, 401):
+            for q in (p + 1, p - 1):
+                P = surgery_pi1(data, SlopeSpec(p, q))
+                position = {g: i for i, g in enumerate(P.alphabet)}
+                relators = [_encode(r, position) for r in P.relators]
+                meridian = [_encode(data.meridian, position)]
+                args = (2 * len(P.alphabet), relators, meridian, 100_000)
+                rows, defined, collapses = _hlt(*args)
+                assert (rows, defined, collapses) == oracles.hlt_oracle(*args), (p, q)
+                assert rows is not None and len(rows) == 1, (p, q)
+
+    def test_order_10752_pinned(self):
+        result = enumerate_cosets(parse_presentation(ORDER_10752))
+        assert result.kind == "Completed" and result.index == 10_752
+        assert (result.cosets_defined, result.collapses) == (54_054, 43_302)
 
 
 class TestCertifyTrivial:
@@ -300,6 +374,34 @@ class TestVerifyClosed:
                 parse_presentation("gens: x\nrels:"), [parse_word("x", [X])], table
             )
 
+    def test_unreachable_coset_raises(self):
+        # x fixes both cosets, so the relator x closes everywhere, but coset
+        # 1 is not a coset of the subgroup coset 0 stands for
+        P = parse_presentation("gens: x\nrels: x")
+        with pytest.raises(CertificateError, match="reachable"):
+            _verify_closed(P, (), CosetTable(P.alphabet, ((0, 0), (1, 1))))
+        _verify_closed(P, (), CosetTable(P.alphabet, ((0, 0),)))
+
+    def test_column_must_be_a_permutation(self):
+        P = parse_presentation("gens: x\nrels: x^3")
+        for rows in (
+            ((1, 1), (1, 1), (0, 0)),  # x maps two cosets to 1
+            ((1, 1), (2, 2), (0, 0)),  # a 3-cycle is not its own inverse
+            ((1, 2), (2, 3), (0, 1)),  # an entry past the last coset
+            ((1, 2), (2, 0), (0,)),  # a short row
+        ):
+            with pytest.raises(CertificateError, match="permutation|shape"):
+                _verify_closed(P, (), CosetTable(P.alphabet, rows))
+        _verify_closed(P, (), CosetTable(P.alphabet, ((1, 2), (2, 0), (0, 1))))
+        with pytest.raises(CertificateError, match="shape"):
+            _verify_closed(P, (), CosetTable(P.alphabet, ()))
+
+    def test_relator_trace_checked_on_a_transitive_action(self):
+        # a transitive 3-cycle that x^2 does not close
+        P = parse_presentation("gens: x\nrels: x^2")
+        with pytest.raises(CertificateError, match="relator"):
+            _verify_closed(P, (), CosetTable(P.alphabet, ((1, 2), (2, 0), (0, 1))))
+
     def test_corrupted_table_raises_under_optimize(self):
         script = textwrap.dedent(
             """
@@ -308,11 +410,15 @@ class TestVerifyClosed:
             from pochette.presentations import parse_presentation
 
             assert False, "asserts must be stripped by -O"
-            P = parse_presentation("gens: x\\nrels: x^3")
-            try:
-                _verify_closed(P, (), CosetTable(P.alphabet, ((1, 1), (0, 0), (2, 2))))
-            except CertificateError:
-                print("raised")
+            for text, rows in (
+                ("gens: x\\nrels: x^3", ((1, 1), (0, 0), (2, 2))),
+                ("gens: x\\nrels: x", ((0, 0), (1, 1))),
+            ):
+                P = parse_presentation(text)
+                try:
+                    _verify_closed(P, (), CosetTable(P.alphabet, rows))
+                except CertificateError:
+                    print("raised")
             """
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -323,4 +429,4 @@ class TestVerifyClosed:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "raised"
+        assert proc.stdout.split() == ["raised", "raised"]
