@@ -20,7 +20,6 @@ subgroup word must close.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from operator import itemgetter
 
 from .abelian import abelian_invariants
@@ -49,21 +48,6 @@ class CosetTable:
 
     alphabet: tuple
     rows: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _columns(self) -> dict:
-        """Signed letter (generator, sign) -> table column."""
-        return {
-            (g, sign): 2 * i + (0 if sign == 1 else 1)
-            for i, g in enumerate(self.alphabet)
-            for sign in (1, -1)
-        }
-
-    def trace(self, coset: int, word: Word) -> int:
-        columns = self._columns
-        for letter in word.letters:
-            coset = self.rows[coset][columns[letter]]
-        return coset
 
 
 @dataclass(frozen=True)
@@ -377,5 +361,7 @@ def subgroup_membership(
     result = enumerate_cosets(P, tuple(subgroup_gens), max_cosets)
     if result.kind == "Unknown":
         return result
-    inside = result.table.trace(0, candidate) == 0
-    return replace(result, kind="InSubgroup" if inside else "NotInSubgroup")
+    coset = 0
+    for lt in _encode(candidate, {g: i for i, g in enumerate(P.alphabet)}):
+        coset = result.table.rows[coset][lt]
+    return replace(result, kind="InSubgroup" if coset == 0 else "NotInSubgroup")

@@ -2,25 +2,27 @@
 
 Every quotient of Z is cyclic, so a permutation representation whose
 image subgroup is non-cyclic certifies the group is not infinite
-cyclic.  The search is exhaustive over symmetric groups up to the
-degree cap; NotFound (None) is inconclusive, never a negative claim.
+cyclic.  The search is exhaustive up to the degree cap; NotFound (None)
+is inconclusive, never a negative claim.
 
-The search compiles each relator once into integer slots and checks it
-point by point against tables of the generator images and their
-inverses; relators over a single generator filter that generator's
-candidates once per degree.  ``assignment_satisfies`` and
-``image_is_cyclic`` work on the ``Word``s and whole permutations
-instead, and stay the independent re-check of every witness.
+It is Sims' low-index method (Sims 1994, ch. 5; Holt-Eick-O'Brien §5.4):
+backtracking over standardized partial coset tables meets each transitive
+action, on the cosets of one subgroup of finite index, exactly once.  An
+image whose orbits all have cyclic images is abelian; if it is not cyclic
+it has p-rank 2 for some prime p, and so has its image on some two orbits.
+So unions of two transitive actions complete the search.
+``assignment_satisfies`` and ``image_is_cyclic`` work on the ``Word``s and
+whole permutations, and re-check every witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import lcm
-from typing import Sequence
+from typing import Iterator
 
 from .budgets import Budgets
+from .coset_enum import UNDEF, _encode
 from .errors import CertificateError
 from .presentations import FinitePresentation
 from .words import Generator, Word
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 Perm = tuple[int, ...]
-Slots = tuple[int, ...]
 
 
 def _compose(a: Perm, b: Perm) -> Perm:
@@ -41,18 +42,11 @@ def _compose(a: Perm, b: Perm) -> Perm:
     return tuple(b[x] for x in a)
 
 
-def _inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def _word_perm(word: Word, images: dict[Generator, Perm], degree: int) -> Perm:
     acc = tuple(range(degree))
     for gen, sign in word.letters:
-        p = images[gen] if sign == 1 else _inverse(images[gen])
-        acc = _compose(acc, p)
+        p = images[gen]
+        acc = tuple(p[x] if sign == 1 else p.index(x) for x in acc)
     return acc
 
 
@@ -73,19 +67,14 @@ def _closure(perms: list[Perm], degree: int) -> set[Perm]:
 
 
 def _order(a: Perm) -> int:
-    degree = len(a)
-    seen = [False] * degree
-    out = 1
-    for i in range(degree):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        out = lcm(out, length)
+    """The lcm of the cycle lengths."""
+    out, seen = 1, set()
+    for start in range(len(a)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j, length = a[j], length + 1
+        out = lcm(out, length or 1)
     return out
 
 
@@ -119,91 +108,99 @@ def image_is_cyclic(a: PermutationAssignment) -> bool:
     return any(_order(g) == size for g in group)
 
 
-def _compile(P: FinitePresentation) -> tuple[list[list[Slots]], list[list[Slots]]]:
-    """Each relator as slots into a per-node image table, by checkpoint level.
+def _transitive_actions(
+    nletters: int, relators: list[tuple[int, ...]], degree: int
+) -> Iterator[tuple[Perm, ...]]:
+    """The generator images of every transitive action on exactly ``degree`` points.
 
-    Generator k's image sits in slot 2k and its inverse in slot 2k + 1.
-    A relator becomes checkable at the level of its last generator; at
-    level k, ``mixed[k]`` holds those that also use an earlier one, and
-    ``single[k]`` those over generator k alone, with slots 0 and 1 read
-    against the pair (image, inverse).
+    Each step fills the first undefined entry, in coset then letter order,
+    with an existing coset or the next new one, so cosets are numbered in
+    order of first appearance: each completed table is the standardized
+    table of its point stabilizer.  Column lt is letter lt, as in ``_encode``.
     """
-    index = {g: k for k, g in enumerate(P.alphabet)}
-    single: list[list[Slots]] = [[] for _ in P.alphabet]
-    mixed: list[list[Slots]] = [[] for _ in P.alphabet]
-    for rel in P.relators:
-        slots = tuple(2 * index[g] + (sign == -1) for g, sign in rel.letters)
-        used = {slot // 2 for slot in slots}
-        if len(used) == 1:
-            single[used.pop()].append(tuple(slot % 2 for slot in slots))
-        else:
-            mixed[max(used)].append(slots)
-    return single, mixed
+    cols = [[UNDEF] * degree for _ in range(nletters)]
+    trail: list[tuple[int, int]] = []
+
+    def deduce(n: int) -> bool:
+        """Scan each relator from each coset until stable; False if one fails to close.
+
+        A scan left with a single undefined entry defines it, and its inverse.
+        """
+        changed = True
+        while changed:
+            changed = False
+            for rel in relators:
+                for c in range(n):
+                    f, i, b, j = c, 0, c, len(rel) - 1
+                    while i <= j and cols[rel[i]][f] != UNDEF:
+                        f, i = cols[rel[i]][f], i + 1
+                    while j >= i and cols[rel[j] ^ 1][b] != UNDEF:
+                        b, j = cols[rel[j] ^ 1][b], j - 1
+                    if j < i and f != b:
+                        return False
+                    if j == i:
+                        cols[rel[i]][f], cols[rel[i] ^ 1][b] = b, f
+                        trail.extend(((rel[i], f), (rel[i] ^ 1, b)))
+                        changed = True
+        return True
+
+    def grow(n: int, c: int, lt: int) -> Iterator[tuple[Perm, ...]]:
+        while c < n and cols[lt][c] != UNDEF:
+            c, lt = (c + 1, 0) if lt + 1 == nletters else (c, lt + 1)
+        if c == n:
+            if n == degree:
+                yield tuple(tuple(col) for col in cols[::2])
+            return
+        for t in range(min(n + 1, degree)):
+            if cols[lt ^ 1][t] != UNDEF:
+                continue
+            mark = len(trail)
+            cols[lt][c], cols[lt ^ 1][t] = t, c
+            trail.extend(((lt, c), (lt ^ 1, t)))
+            if deduce(max(n, t + 1)):
+                yield from grow(max(n, t + 1), c, lt)
+            for undo, coset in trail[mark:]:
+                cols[undo][coset] = UNDEF
+            del trail[mark:]
+
+    if deduce(1):
+        yield from grow(1, 0, 0)
 
 
-def _fixes_every_point(rel: Slots, table: Sequence[Perm], degree: int) -> bool:
-    """True iff the relator's permutation is the identity, traced point by point."""
-    for x in range(degree):
-        y = x
-        for slot in rel:
-            y = table[slot][y]
-        if y != x:
-            return False
-    return True
+def _noncyclic_images(
+    gens: tuple[Generator, ...], relators: list[tuple[int, ...]], max_degree: int
+) -> Iterator[PermutationAssignment]:
+    """At each degree from 2 up: transitive actions, then unions of two cyclic ones."""
+    cyclic: list[PermutationAssignment] = []
+    for degree in range(2, max_degree + 1):
+        for images in _transitive_actions(2 * len(gens), relators, degree):
+            action = PermutationAssignment(degree, gens, images)
+            if image_is_cyclic(action):
+                cyclic.append(action)
+            else:
+                yield action
+        for k, a in enumerate(cyclic):
+            for b in cyclic[k + 1:]:
+                if a.degree + b.degree == degree:
+                    shifted = (tuple(x + a.degree for x in q) for q in b.images)
+                    images = tuple(p + q for p, q in zip(a.images, shifted))
+                    union = PermutationAssignment(degree, gens, images)
+                    if not image_is_cyclic(union):
+                        yield union
 
 
 def find_noncyclic_quotient(
     P: FinitePresentation, max_degree: int = Budgets.quotient_degree
 ) -> PermutationAssignment | None:
-    """Backtracking search for a relator-satisfying non-cyclic permutation image.
+    """A relator-satisfying permutation image that is not cyclic, of least degree.
 
-    Deterministic first-found order: lowest degree, then lexicographic
-    assignment (generators in alphabet order, each image running through
-    permutations in lexicographic order).  Relators are compiled once
-    into generator slots and checked point by point, stopping at the
-    first point they move.  A relator over one generator alone filters
-    that generator's candidates once per degree, keeping their order;
-    the backtracking checks each mixed relator as soon as its last
-    generator has an image.  Each leaf must pass ``image_is_cyclic``, and
-    the witness returned is re-checked by ``assignment_satisfies`` on
-    the relator words.
+    The witness is re-checked by ``assignment_satisfies`` on the relator words.
     """
-    gens = P.alphabet
-    if not gens:
+    if not P.alphabet:
         return None
-    single, mixed = _compile(P)
-    for degree in range(2, max_degree + 1):
-        pairs = [(p, _inverse(p)) for p in permutations(range(degree))]
-        candidates = [
-            [
-                pair
-                for pair in pairs
-                if all(_fixes_every_point(rel, pair, degree) for rel in rels)
-            ]
-            for rels in single
-        ]
-        table: list[Perm] = [()] * (2 * len(gens))
-
-        def backtrack(k: int) -> PermutationAssignment | None:
-            if k == len(gens):
-                assignment = PermutationAssignment(degree, gens, tuple(table[::2]))
-                return None if image_is_cyclic(assignment) else assignment
-            checks = mixed[k]
-            for image, inverse in candidates[k]:
-                table[2 * k] = image
-                table[2 * k + 1] = inverse
-                for rel in checks:
-                    if not _fixes_every_point(rel, table, degree):
-                        break
-                else:
-                    found = backtrack(k + 1)
-                    if found is not None:
-                        return found
-            return None
-
-        found = backtrack(0)
-        if found is not None:
-            if not assignment_satisfies(P, found):
-                raise CertificateError("quotient witness violates a relator")
-            return found
-    return None
+    position = {g: k for k, g in enumerate(P.alphabet)}
+    relators = [_encode(rel, position) for rel in P.relators]
+    found = next(_noncyclic_images(P.alphabet, relators, max_degree), None)
+    if found is not None and not assignment_satisfies(P, found):
+        raise CertificateError("quotient witness violates a relator")
+    return found

@@ -169,13 +169,15 @@ def cord_triviality(
 ) -> CordVerdict:
     """Classify a cord's double coset against the trivial class.
 
-    The trivial class pulls back to the meridian subgroup exactly, so:
+    The trivial class pulls back to the meridian subgroup exactly, so
     membership certified by a closed enumeration settles the question
-    directly.  When the enumeration overflows, a two-generator knot
-    group whose meridian and cord are the two generators still admits a
-    certificate: the cord lying in the meridian subgroup would force the
-    whole group to be cyclic, hence infinite cyclic by abelianization,
-    so any non-cyclic finite quotient rules it out.
+    directly.  A two-generator group with H1 = Z whose meridian and cord
+    are the two generators admits a certificate without it: the cord
+    lying in the meridian subgroup would force the whole group to be
+    cyclic, hence infinite cyclic, so any non-cyclic finite quotient rules
+    it out.  There the quotient search runs first, since on knot groups
+    the meridian subgroup has infinite index and the enumeration cannot
+    close; membership runs only when the search finds nothing.
     """
     power = _as_meridian_power(cord, meridian)
     if power is not None:
@@ -183,6 +185,21 @@ def cord_triviality(
             "TrivialCordClass",
             detail=f"cord is visibly meridian^{power}",
         )
+    two_generator = (
+        len(P.alphabet) == 2
+        and len(meridian) == len(cord) == 1
+        and meridian.letters[0][0] != cord.letters[0][0]
+        and hom_to_Z(P) is not None
+    )
+    if two_generator:
+        witness = find_noncyclic_quotient(P, budgets.quotient_degree)
+        if witness is not None:
+            return CordVerdict(
+                "NontrivialCordCertified",
+                witness=witness,
+                detail="a trivial cord would make the two-generator group cyclic, "
+                "contradicting the non-cyclic quotient witness",
+            )
     membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
     if membership.kind == "InSubgroup":
         return CordVerdict(
@@ -191,39 +208,24 @@ def cord_triviality(
             detail=f"cord traced into the meridian subgroup "
             f"(index {membership.index})",
         )
-    overflowed = f"enumeration overflowed at {budgets.max_cosets} cosets"
-    if membership.kind == "NotInSubgroup":
-        found = (
-            "membership refuted by a closed enumeration and the group "
-            "is not infinite cyclic"
-        )
-        missing = (
-            "membership refuted but no non-cyclic quotient found within "
-            f"degree {budgets.quotient_degree}"
-        )
-    elif (
-        # enumeration overflowed: fall back to the two-generator argument
-        len(P.alphabet) == 2
-        and len(meridian) == len(cord) == 1
-        and meridian.letters[0][0] != cord.letters[0][0]
-        and hom_to_Z(P) is not None
-    ):
-        found = (
-            "a trivial cord would make the two-generator group cyclic, "
-            "contradicting the non-cyclic quotient witness"
-        )
-        missing = overflowed
-    else:
-        found, missing = None, overflowed
-    witness = find_noncyclic_quotient(P, budgets.quotient_degree) if found else None
+    if membership.kind == "Unknown":
+        detail = f"enumeration overflowed at {budgets.max_cosets} cosets"
+        return CordVerdict("Unknown", membership=membership, detail=detail)
+    # refuted membership; in the two-generator case the search already ran
+    witness = None if two_generator else find_noncyclic_quotient(P, budgets.quotient_degree)
     if witness is not None:
         return CordVerdict(
             "NontrivialCordCertified",
             witness=witness,
             membership=membership,
-            detail=found,
+            detail="membership refuted by a closed enumeration and the group "
+            "is not infinite cyclic",
         )
-    return CordVerdict("Unknown", membership=membership, detail=missing)
+    detail = (
+        "membership refuted but no non-cyclic quotient found within "
+        f"degree {budgets.quotient_degree}"
+    )
+    return CordVerdict("Unknown", membership=membership, detail=detail)
 
 
 def parse_fusion_file(text: str) -> FusionData:

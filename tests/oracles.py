@@ -13,9 +13,11 @@ own presentations, words and verdicts: ``tietze_simplify_oracle`` (the
 earlier Tietze program, matched move for move), ``substitute_oracle``
 (one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
 verdict from regular coset enumeration alone),
+``cord_kind_membership_first_oracle`` (the cord verdict kind with
+membership run before the quotient search),
 ``find_noncyclic_quotient_oracle`` (the quotient search that composed
-whole permutations of ``Word``s at every node, matched witness for
-witness) and ``hlt_oracle`` (the row-per-coset HLT kernel, matched
+whole permutations of ``Word``s at every node, matched on whether a
+witness exists and its degree) and ``hlt_oracle`` (the row-per-coset HLT kernel, matched
 definition for definition on integer-coded words).
 """
 
@@ -24,7 +26,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from pochette.coset_enum import certify_trivial
+from pochette.abelian import hom_to_Z
+from pochette.coset_enum import certify_trivial, subgroup_membership
 from pochette.errors import CertificateError
 from pochette.presentations import FinitePresentation, TietzeResult
 from pochette.quotient_search import (
@@ -33,6 +36,7 @@ from pochette.quotient_search import (
     assignment_satisfies,
     image_is_cyclic,
 )
+from pochette.ribbon import _as_meridian_power
 from pochette.surgery import Verdict, linking_number, surgery_pi1
 from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
 
@@ -388,6 +392,30 @@ def find_noncyclic_quotient_oracle(
                 raise CertificateError("quotient witness violates a relator")
             return found
     return None
+
+
+def cord_kind_membership_first_oracle(P, meridian, cord, budgets) -> str:
+    """The cord verdict kind from the earlier order: membership, then the search.
+
+    The search is ``find_noncyclic_quotient_oracle``; it runs after a
+    refuted membership, or after an overflow when the two-generator
+    argument applies (two generators, meridian and cord distinct single
+    letters, abelianization Z).
+    """
+    if _as_meridian_power(cord, meridian) is not None:
+        return "TrivialCordClass"
+    membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
+    if membership.kind == "InSubgroup":
+        return "TrivialCordClass"
+    searched = membership.kind == "NotInSubgroup" or (
+        len(P.alphabet) == 2
+        and len(meridian) == len(cord) == 1
+        and meridian.letters[0][0] != cord.letters[0][0]
+        and hom_to_Z(P) is not None
+    )
+    if searched and find_noncyclic_quotient_oracle(P, budgets.quotient_degree):
+        return "NontrivialCordCertified"
+    return "Unknown"
 
 
 UNDEF = -1

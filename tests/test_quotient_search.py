@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 from pathlib import Path
 
@@ -106,10 +107,18 @@ def fusion_groups():
 
 
 def abelian_groups():
-    """Z/a x Z/b as < x, y | x^a ; y^b ; [x, y] >, with no x^a when a = 0 (Z x Z/b)."""
+    """Z/a x Z/b as < x, y | x^a ; y^b ; [x, y] >, with no x^a when a = 0 (Z x Z/b).
+
+    Each comes with the degree to search: 6 when a = 3, where Z/3 x Z/3 and
+    Z/3 x Z/6 first have a non-cyclic image, as a union of two orbits of
+    size 3, and 5 elsewhere, which keeps the exhaustive oracle cheap.
+    """
     return st.builds(
-        lambda a, b: parse_presentation(
-            f"gens: x, y\nrels: {f'x^{a} ;' if a else ''} y^{b} ; x y x^-1 y^-1"
+        lambda a, b: (
+            parse_presentation(
+                f"gens: x, y\nrels: {f'x^{a} ;' if a else ''} y^{b} ; x y x^-1 y^-1"
+            ),
+            6 if a == 3 else 5,
         ),
         st.sampled_from([0, 2, 3, 4]),
         st.integers(1, 6),
@@ -117,17 +126,22 @@ def abelian_groups():
 
 
 class TestAgainstOracle:
-    """The compiled search returns the earlier search's first witness, or None.
+    """The search finds a witness exactly when the earlier search does, of the same degree.
 
+    The witness itself may differ: the earlier search returned the
+    lexicographically first assignment, this one the first coset table.
     Each search runs every degree from 2 up, so a fixed cap covers the
     lower degrees too.
     """
 
     @staticmethod
     def check(P, degree):
-        assert find_noncyclic_quotient(P, degree) == oracles.find_noncyclic_quotient_oracle(
-            P, degree
-        )
+        found = find_noncyclic_quotient(P, degree)
+        expected = oracles.find_noncyclic_quotient_oracle(P, degree)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found.degree == expected.degree
+            assert assignment_satisfies(P, found) and not image_is_cyclic(found)
 
     @given(one_fusion_groups())
     @settings(max_examples=30, deadline=None)
@@ -141,12 +155,20 @@ class TestAgainstOracle:
 
     @given(abelian_groups())
     @settings(max_examples=30, deadline=None)
-    def test_abelian_groups(self, P):
-        self.check(P, 5)
+    def test_abelian_groups(self, case):
+        self.check(*case)
+
+    def test_z3_squared_needs_two_orbits(self):
+        # every transitive image of Z/3 x Z/3 is cyclic (Z/3, on 3 points),
+        # so only the union of two such actions reaches it, at degree 6
+        P = parse_presentation("gens: x, y\nrels: x^3 ; y^3 ; x y x^-1 y^-1")
+        assert find_noncyclic_quotient(P, 5) is None
+        found = find_noncyclic_quotient(P, 6)
+        assert found is not None and found.degree == 6
+        self.check(P, 6)
 
     def test_relator_over_a_later_generator_alone(self):
-        # y^3 filters y's candidates; the first witness still comes from
-        # the lexicographic order over x, then y
+        # y^3 and z^2 are each over one generator, not the first
         P = parse_presentation("gens: x, y, z\nrels: z^2 ; y^3 ; x y x^-1 y^-1 z")
         self.check(P, 4)
 
@@ -154,6 +176,13 @@ class TestAgainstOracle:
         # Z/2 x Z/3 is cyclic, so the search is exhaustive and finds nothing
         P = parse_presentation((CORPUS / "z6.txt").read_text())
         assert find_noncyclic_quotient(P, 7) is None
+
+    def test_z6_corpus_exhausts_the_default_degree_within_a_second(self):
+        # Z/6 is cyclic, so the search visits every subgroup of index up to 8
+        P = parse_presentation((CORPUS / "z6.txt").read_text())
+        start = time.perf_counter()
+        assert find_noncyclic_quotient(P, 8) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestImageIsCyclic:

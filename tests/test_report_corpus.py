@@ -76,6 +76,8 @@ CASES = {
     "cordcheck-not-in-subgroup-witness": (
         "cordcheck", "s3.txt", "--meridian=x", "--cord=y", "--degree=3",
     ),
+    # < x, y | x y^-1 > is Z: the degree-8 search finds nothing, then y is in <x>
+    "cordcheck-trivial-cord-z": ("cordcheck", "one-fusion:1:-1", "--cord=y"),
 }
 FORMATS = {"txt": "text", "json": "json"}
 # Environment variables a case runs under.

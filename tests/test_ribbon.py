@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from pochette.abelian import AbelianInvariants, abelian_invariants
 from pochette.budgets import Budgets
@@ -180,6 +183,35 @@ class TestCordTriviality:
         )
         assert verdict.kind == "Unknown"
         assert verdict.membership.kind == "NotInSubgroup"
+
+    def test_trivial_cord_in_Z_at_the_default_degree(self):
+        # < x, y | x y^-1 > is Z: the search must exhaust degree 8 quickly
+        # and leave the verdict to membership
+        P = FinitePresentation((X, Y), (w("x y^-1"),))
+        verdict = cord_triviality(P, w("x"), w("y"))
+        assert verdict.kind == "TrivialCordClass"
+        assert verdict.membership.kind == "InSubgroup"
+
+    def test_two_generator_witness_skips_membership(self):
+        verdict = cord_triviality(spun_trefoil(), w("x"), w("y"), self.BUDGETS)
+        assert verdict.kind == "NontrivialCordCertified"
+        assert verdict.membership is None
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([X, Y]), st.sampled_from([1, -1])), max_size=6
+        ),
+        st.sampled_from([1, -1]),
+        st.sampled_from(["y", "x y", "y^2", "x^2", "y x y^-1"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_kind_as_membership_first(self, letters, sign, cord):
+        # searching first changes which certificate decides, never the kind
+        P = one_fusion_presentation(Word(tuple(letters)), sign)
+        budgets = Budgets(max_cosets=500, quotient_degree=4)
+        assert cord_triviality(P, w("x"), w(cord), budgets).kind == (
+            oracles.cord_kind_membership_first_oracle(P, w("x"), w(cord), budgets)
+        )
 
     def test_certificate_stability_across_budgets(self):
         P = spun_trefoil()
