@@ -18,7 +18,6 @@ from .abelian import (
 )
 from .budgets import Budgets
 from .coset_enum import (
-    CosetTable,
     EnumerationVerdict,
     certify_trivial,
     enumerate_cosets,
@@ -27,19 +26,16 @@ from .coset_enum import (
 from .errors import InputError
 from .presentations import (
     FinitePresentation,
+    PermutationAssignment,
     TietzeResult,
     add_relator,
+    assignment_satisfies,
     format_presentation,
     parse_presentation,
     relators_equivalent,
     tietze_simplify,
 )
-from .quotient_search import (
-    PermutationAssignment,
-    assignment_satisfies,
-    find_noncyclic_quotient,
-    image_is_cyclic,
-)
+from .quotient_search import find_noncyclic_quotient, image_is_cyclic
 from .ribbon import (
     CordVerdict,
     FusionData,

@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
+from pathlib import Path
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
@@ -111,6 +112,13 @@ def _parse_slope(text: str, framing: int) -> SlopeSpec:
     return SlopeSpec(int(match.group(1)), int(match.group(2)), framing)
 
 
+def _read(path: str, kind: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path!r}: {exc}") from exc
+
+
 def _load_source(source: str) -> tuple[FinitePresentation, str, str]:
     """Resolve a presentation source to (presentation, default meridian, default longitude).
 
@@ -120,17 +128,9 @@ def _load_source(source: str) -> tuple[FinitePresentation, str, str]:
     if source == "spun-trefoil" or source.startswith("one-fusion:"):
         return load_preset(source), "x", "y"
     if source.startswith("fusion:"):
-        path = source[len("fusion:"):]
-        try:
-            text = open(path).read()
-        except OSError as exc:
-            raise InputError(f"cannot read fusion file {path!r}: {exc}") from exc
+        text = _read(source[len("fusion:"):], "fusion")
         return n_fusion_presentation(parse_fusion_file(text)), "x1", "x2"
-    try:
-        text = open(source).read()
-    except OSError as exc:
-        raise InputError(f"cannot read presentation file {source!r}: {exc}") from exc
-    return parse_presentation(text), "", ""
+    return parse_presentation(_read(source, "presentation")), "", ""
 
 
 def _require_word(P: FinitePresentation, text: str, default: str, flag: str):

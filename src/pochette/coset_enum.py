@@ -9,27 +9,25 @@ The method follows the classical presentation in Holt, Eick, O'Brien,
 at the first undefined (coset, signed generator) pair in scan order.
 While it runs the table is kept by column, one list per signed letter
 indexed by coset, and every relator and subgroup word is compiled once
-to its lists of columns.  The closed table it returns
-(``CosetTable.rows``, one row per coset) and the statistics a report
-prints (cosets defined, collapses) are those of the row-per-coset
-layout.  ``_verify_closed`` re-checks every closed table: the columns
-must form a transitive permutation action, and every relator and
-subgroup word must close.
+to its lists of columns.  The statistics a report prints (cosets
+defined, collapses) are those of the row-per-coset layout.  A closed
+table is returned as the ``PermutationAssignment`` of the generators on
+the cosets, coset 0 the subgroup, and ``_verify_closed`` re-checks it:
+a transitive permutation action that ``assignment_satisfies`` accepts,
+in which every subgroup word fixes coset 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
 from .errors import CertificateError
-from .presentations import FinitePresentation
+from .presentations import FinitePresentation, PermutationAssignment, assignment_satisfies
 from .words import Word
 
 __all__ = [
-    "CosetTable",
     "EnumerationVerdict",
     "enumerate_cosets",
     "certify_trivial",
@@ -40,17 +38,6 @@ UNDEF = -1
 
 
 @dataclass(frozen=True)
-class CosetTable:
-    """Closed coset table: rows[c][2*g] = c.g, rows[c][2*g+1] = c.g^-1.
-
-    Coset 0 is the subgroup itself; every entry is defined.
-    """
-
-    alphabet: tuple
-    rows: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class EnumerationVerdict:
     """The outcome of one coset enumeration, with its statistics.
 
@@ -58,7 +45,8 @@ class EnumerationVerdict:
     from certify_trivial and "InSubgroup" | "NotInSubgroup" from
     subgroup_membership.  Any of the three gives "Unknown" when the
     enumeration hit max_cosets; index and table are then None.
-    Otherwise table is the closed table that certified the index.
+    Otherwise table is the closed table that certified the index: the
+    action of the generators on the cosets, coset 0 the subgroup.
     subgroup holds the words whose subgroup's cosets were enumerated.
     """
 
@@ -68,13 +56,7 @@ class EnumerationVerdict:
     collapses: int
     max_cosets: int
     subgroup: tuple[Word, ...] = ()
-    table: CosetTable | None = field(default=None, compare=False, repr=False)
-
-
-def _encode(word: Word, position: dict) -> tuple[int, ...]:
-    return tuple(
-        2 * position[gen] + (0 if sign == 1 else 1) for gen, sign in word.letters
-    )
+    table: PermutationAssignment | None = field(default=None, compare=False, repr=False)
 
 
 def _hlt(
@@ -260,70 +242,49 @@ def enumerate_cosets(
     """
     if max_cosets <= 0:
         raise ValueError("max_cosets must be positive")
-    position = {g: i for i, g in enumerate(P.alphabet)}
-    nletters = 2 * len(P.alphabet)
-    relators = [_encode(r, position) for r in P.relators]
-    subgroup_words = [_encode(w, position) for w in subgroup]
+    relators = [P.encode(r) for r in P.relators]
+    subgroup_words = [P.encode(w) for w in subgroup]
 
-    rows, defined, collapses = _hlt(nletters, relators, subgroup_words, max_cosets)
+    rows, defined, collapses = _hlt(2 * len(P.alphabet), relators, subgroup_words, max_cosets)
     stats = (defined, collapses, max_cosets, tuple(subgroup))
     if rows is None:
         return EnumerationVerdict("Unknown", None, *stats)
-    table = CosetTable(P.alphabet, rows)
+    table = PermutationAssignment(len(rows), P.alphabet, tuple(zip(*rows))[::2])
     _verify_closed(P, subgroup, table)
     return EnumerationVerdict("Completed", len(rows), *stats, table)
 
 
-def _after(image: tuple[int, ...], column) -> tuple[int, ...]:
-    """column[image[c]] for every c (itemgetter of one key gives a bare item)."""
-    return itemgetter(*image)(column) if len(image) > 1 else (column[image[0]],)
-
-
-def _verify_closed(P: FinitePresentation, subgroup, table: CosetTable):
+def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignment):
     """Certify the completion claim: a transitive action that closes every scan.
 
-    Each column must be a permutation of the cosets whose inverse is the
-    inverse letter's column, and every coset must be reachable from coset
-    0; only then do the traces below prove [G : H] >= the table's size.
-    Every relator must then fix every coset, and every subgroup word coset
-    0.  Words are integer-coded and traced column by column.
+    The images must be permutations of the cosets, and every coset must
+    be reachable from coset 0; only then does ``assignment_satisfies``,
+    with every relator fixing every coset, prove [G : H] >= the table's
+    size.  Every subgroup word must then fix coset 0.
     """
-    rows = table.rows
-    n = len(rows)
-    nletters = 2 * len(table.alphabet)
-    if n == 0 or any(len(row) != nletters for row in rows):
-        raise CertificateError("coset table has the wrong shape")
-    columns = list(zip(*rows))
-    identity = tuple(range(n))
-    for lt, column in enumerate(columns):
-        # in range and undone by the inverse column: a permutation
-        if not (0 <= min(column) and max(column) < n) or _after(
-            column, columns[lt ^ 1]
-        ) != identity:
-            raise CertificateError("coset table column is not a permutation")
-    # the columns are permutations, so the generators' columns reach the orbit
+    n = action.degree
+    if n == 0:
+        raise CertificateError("coset table has no cosets")
+    if not action.is_action():
+        raise CertificateError("coset table column is not a permutation")
+    # the images are permutations, so they reach the orbit of coset 0
     reached = [True] + [False] * (n - 1)
     stack = [0]
     while stack:
         c = stack.pop()
-        for column in columns[::2]:
-            d = column[c]
+        for image in action.images:
+            d = image[c]
             if not reached[d]:
                 reached[d] = True
                 stack.append(d)
     if not all(reached):
         raise CertificateError("coset not reachable from coset 0")
-    position = {g: i for i, g in enumerate(table.alphabet)}
-    for rel in P.relators:
-        image = identity
-        for lt in _encode(rel, position):
-            image = _after(image, columns[lt])
-        if image != identity:
-            raise CertificateError("relator trace failed to close")
+    if not assignment_satisfies(P, action):
+        raise CertificateError("relator trace failed to close")
     for w in subgroup:
         c = 0
-        for lt in _encode(w, position):
-            c = columns[lt][c]
+        for lt in P.encode(w):
+            c = action.columns[lt][c]
         if c != 0:
             raise CertificateError("subgroup generator left coset 0")
 
@@ -362,6 +323,6 @@ def subgroup_membership(
     if result.kind == "Unknown":
         return result
     coset = 0
-    for lt in _encode(candidate, {g: i for i, g in enumerate(P.alphabet)}):
-        coset = result.table.rows[coset][lt]
+    for lt in P.encode(candidate):
+        coset = result.table.columns[lt][coset]
     return replace(result, kind="InSubgroup" if coset == 0 else "NotInSubgroup")

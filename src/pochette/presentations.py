@@ -2,12 +2,16 @@
 
 Relators are kept freely and cyclically reduced, with duplicates (up to
 cyclic permutation and inversion) dropped at construction time.
+``FinitePresentation.encode`` is the kernels' integer letter code, and
+``assignment_satisfies`` checks the relators in any permutation action.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import InputError
 from .words import (
@@ -23,6 +27,8 @@ from .words import (
 
 __all__ = [
     "FinitePresentation",
+    "PermutationAssignment",
+    "assignment_satisfies",
     "MissingSection",
     "PresentationParseError",
     "parse_presentation",
@@ -122,6 +128,15 @@ class FinitePresentation:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "relators", tuple(cleaned))
 
+    @cached_property
+    def _letter_code(self) -> dict[Generator, int]:
+        return {g: 2 * i for i, g in enumerate(self.alphabet)}
+
+    def encode(self, word: Word) -> tuple[int, ...]:
+        """Letters as integers: generator i is 2i and its inverse 2i + 1, so lt ^ 1 inverts lt."""
+        code = self._letter_code
+        return tuple(code[g] + (s == -1) for g, s in word.letters)
+
     def total_relator_length(self) -> int:
         return sum(len(r) for r in self.relators)
 
@@ -130,6 +145,58 @@ class FinitePresentation:
 
     def __str__(self) -> str:
         return format_presentation(self)
+
+
+Perm = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PermutationAssignment:
+    """Generator images in the symmetric group on ``range(degree)``, one per letter.
+
+    A closed coset table and a quotient witness are both such actions.
+    """
+
+    degree: int
+    alphabet: tuple[Generator, ...]
+    images: tuple[Perm, ...]
+
+    def is_action(self) -> bool:
+        """True iff there is one image per generator, each a permutation of the points."""
+        points = list(range(self.degree))
+        return len(self.images) == len(self.alphabet) and all(
+            sorted(p) == points for p in self.images
+        )
+
+    @cached_property
+    def columns(self) -> tuple[Perm, ...]:
+        """Each image, then its inverse, in ``encode``'s letter order (needs is_action)."""
+        out = []
+        for p in self.images:
+            inverse = [0] * self.degree
+            for x, y in enumerate(p):
+                inverse[y] = x
+            out += (p, tuple(inverse))
+        return tuple(out)
+
+
+def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> bool:
+    """True iff a is an action of P's generators in which every relator fixes every point."""
+    if a.alphabet != P.alphabet or not a.is_action():
+        return False
+    # on at most one point every permutation is the identity; on more, an
+    # itemgetter of several keys maps all points at once
+    if a.degree < 2:
+        return True
+    identity = tuple(range(a.degree))
+    columns = a.columns
+    for rel in P.relators:
+        image = identity
+        for lt in P.encode(rel):
+            image = itemgetter(*image)(columns[lt])
+        if image != identity:
+            return False
+    return True
 
 
 def parse_presentation(text: str) -> FinitePresentation:
@@ -228,14 +295,7 @@ def _subword_rewrite(
     strictly shortening s.  Prefers short sources, long matches, short
     targets, all in ``order``.
     """
-    # letters as small integers, 2i for generator i and 2i + 1 for its
-    # inverse, so that substrings hash without calling Generator.__hash__
-    code = {g: 2 * i for i, g in enumerate(P.alphabet)}
-
-    def coded(w: Word) -> tuple[int, ...]:
-        return tuple(code[g] + (s == -1) for g, s in w.letters)
-
-    doubled = [coded(r) * 2 for r in P.relators]
+    doubled = [P.encode(r) * 2 for r in P.relators]
     # (target, cut) -> each cyclic substring of that length -> its smallest
     # start, built on first use and shared by every source and variant
     starts: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
@@ -248,7 +308,7 @@ def _subword_rewrite(
         if not cuts:
             continue
         # distinct rotations of r and of r^-1, in first-occurrence order
-        bases = (coded(r), coded(invert(r)))
+        bases = (P.encode(r), P.encode(invert(r)))
         variants = dict.fromkeys(b[k:] + b[:k] for b in bases for k in range(len(b)))
         for cut in cuts:
             for variant in variants:

@@ -11,22 +11,27 @@ action, on the cosets of one subgroup of finite index, exactly once.  An
 image whose orbits all have cyclic images is abelian; if it is not cyclic
 it has p-rank 2 for some prime p, and so has its image on some two orbits.
 So unions of two transitive actions complete the search.
-``assignment_satisfies`` and ``image_is_cyclic`` work on the ``Word``s and
-whole permutations, and re-check every witness.
+``image_is_cyclic`` works on whole permutations, and together with
+``assignment_satisfies``, the relator check a closed coset table also
+passes, it re-checks every witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
 from .budgets import Budgets
-from .coset_enum import UNDEF, _encode
 from .errors import CertificateError
-from .presentations import FinitePresentation
-from .words import Generator, Word
+from .presentations import (
+    FinitePresentation,
+    Perm,
+    PermutationAssignment,
+    assignment_satisfies,
+)
+from .words import Generator
 
+# with presentations' witness type and check, for callers checking a witness
 __all__ = [
     "PermutationAssignment",
     "find_noncyclic_quotient",
@@ -34,20 +39,12 @@ __all__ = [
     "assignment_satisfies",
 ]
 
-Perm = tuple[int, ...]
+UNDEF = -1
 
 
 def _compose(a: Perm, b: Perm) -> Perm:
     """Apply a, then b."""
     return tuple(b[x] for x in a)
-
-
-def _word_perm(word: Word, images: dict[Generator, Perm], degree: int) -> Perm:
-    acc = tuple(range(degree))
-    for gen, sign in word.letters:
-        p = images[gen]
-        acc = tuple(p[x] if sign == 1 else p.index(x) for x in acc)
-    return acc
 
 
 def _closure(perms: list[Perm], degree: int) -> set[Perm]:
@@ -78,25 +75,6 @@ def _order(a: Perm) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PermutationAssignment:
-    """Generator images in a symmetric group, satisfying every relator."""
-
-    degree: int
-    alphabet: tuple[Generator, ...]
-    images: tuple[Perm, ...]
-
-    def as_dict(self) -> dict[Generator, Perm]:
-        return dict(zip(self.alphabet, self.images))
-
-
-def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> bool:
-    """Re-check every relator against the assignment, independently of the search."""
-    identity = tuple(range(a.degree))
-    images = a.as_dict()
-    return all(_word_perm(rel, images, a.degree) == identity for rel in P.relators)
-
-
 def image_is_cyclic(a: PermutationAssignment) -> bool:
     """True iff the subgroup generated by the images is cyclic.
 
@@ -116,7 +94,7 @@ def _transitive_actions(
     Each step fills the first undefined entry, in coset then letter order,
     with an existing coset or the next new one, so cosets are numbered in
     order of first appearance: each completed table is the standardized
-    table of its point stabilizer.  Column lt is letter lt, as in ``_encode``.
+    table of its point stabilizer.  Column lt is letter lt of ``P.encode``.
     """
     cols = [[UNDEF] * degree for _ in range(nletters)]
     trail: list[tuple[int, int]] = []
@@ -198,8 +176,7 @@ def find_noncyclic_quotient(
     """
     if not P.alphabet:
         return None
-    position = {g: k for k, g in enumerate(P.alphabet)}
-    relators = [_encode(rel, position) for rel in P.relators]
+    relators = [P.encode(rel) for rel in P.relators]
     found = next(_noncyclic_images(P.alphabet, relators, max_degree), None)
     if found is not None and not assignment_satisfies(P, found):
         raise CertificateError("quotient witness violates a relator")

@@ -20,8 +20,8 @@ from .abelian import hom_to_Z
 from .budgets import Budgets
 from .coset_enum import EnumerationVerdict, subgroup_membership
 from .errors import InputError
-from .presentations import FinitePresentation, parse_presentation
-from .quotient_search import PermutationAssignment, find_noncyclic_quotient
+from .presentations import FinitePresentation, PermutationAssignment, parse_presentation
+from .quotient_search import find_noncyclic_quotient
 from .surgery import PochetteEmbeddingData
 from .words import Generator, Word, invert, parse_word, word_to_text
 

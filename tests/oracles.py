@@ -17,7 +17,9 @@ verdict from regular coset enumeration alone),
 membership run before the quotient search),
 ``find_noncyclic_quotient_oracle`` (the quotient search that composed
 whole permutations of ``Word``s at every node, matched on whether a
-witness exists and its degree) and ``hlt_oracle`` (the row-per-coset HLT kernel, matched
+witness exists and its degree), ``assignment_satisfies_oracle`` (the
+relator check that composed those permutations, inverting a letter by
+search) and ``hlt_oracle`` (the row-per-coset HLT kernel, matched
 definition for definition on integer-coded words).
 """
 
@@ -29,13 +31,13 @@ from math import gcd, lcm
 from pochette.abelian import hom_to_Z
 from pochette.coset_enum import certify_trivial, subgroup_membership
 from pochette.errors import CertificateError
-from pochette.presentations import FinitePresentation, TietzeResult
-from pochette.quotient_search import (
+from pochette.presentations import (
+    FinitePresentation,
     PermutationAssignment,
-    _word_perm,
+    TietzeResult,
     assignment_satisfies,
-    image_is_cyclic,
 )
+from pochette.quotient_search import image_is_cyclic
 from pochette.ribbon import _as_meridian_power
 from pochette.surgery import Verdict, linking_number, surgery_pi1
 from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
@@ -341,6 +343,30 @@ def s4_verdict_regular_oracle(data, slope, budgets):
     if enumeration.kind == "NonTrivial":
         return Verdict("NontrivialPi1", n, pi1_index=enumeration.index)
     return Verdict("Unknown", n)
+
+
+def _word_perm(word: Word, images: dict[Generator, tuple[int, ...]], degree: int):
+    """The permutation of range(degree) that ``word`` induces, one letter at a time."""
+    acc = tuple(range(degree))
+    for gen, sign in word.letters:
+        p = images[gen]
+        acc = tuple(p[x] if sign == 1 else p.index(x) for x in acc)
+    return acc
+
+
+def assignment_satisfies_oracle(P: FinitePresentation, a: PermutationAssignment) -> bool:
+    """Every relator's permutation, composed letter by letter, is the identity.
+
+    The images must be permutations of range(degree), one per generator.
+    """
+    points = set(range(a.degree))
+    if len(a.images) != len(P.alphabet) or any(
+        len(p) != a.degree or set(p) != points for p in a.images
+    ):
+        return False
+    images = dict(zip(P.alphabet, a.images))
+    identity = tuple(range(a.degree))
+    return all(_word_perm(rel, images, a.degree) == identity for rel in P.relators)
 
 
 def find_noncyclic_quotient_oracle(

@@ -11,8 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from pochette.coset_enum import (
-    CosetTable,
-    _encode,
     _hlt,
     _verify_closed,
     certify_trivial,
@@ -20,7 +18,11 @@ from pochette.coset_enum import (
     subgroup_membership,
 )
 from pochette.errors import CertificateError, InputError
-from pochette.presentations import FinitePresentation, parse_presentation
+from pochette.presentations import (
+    FinitePresentation,
+    PermutationAssignment,
+    parse_presentation,
+)
 from pochette.ribbon import spun_trefoil_embedding
 from pochette.surgery import SlopeSpec, surgery_pi1
 from pochette.words import Generator, Word, parse_word
@@ -37,7 +39,8 @@ ORDER_10752 = "gens: a, b\nrels: a^8 ; b^7 ; a b a b ; a^-1 b a^-1 b a^-1 b"
 def trace(table, coset, word):
     """The coset that ``word`` carries ``coset`` to, read off the closed table."""
     for gen, sign in word.letters:
-        coset = table.rows[coset][2 * table.alphabet.index(gen) + (sign == -1)]
+        image = table.images[table.alphabet.index(gen)]
+        coset = image[coset] if sign == 1 else image.index(coset)
     return coset
 
 
@@ -180,9 +183,8 @@ class TestKernelAgainstOracle:
         for p in range(2, 401):
             for q in (p + 1, p - 1):
                 P = surgery_pi1(data, SlopeSpec(p, q))
-                position = {g: i for i, g in enumerate(P.alphabet)}
-                relators = [_encode(r, position) for r in P.relators]
-                meridian = [_encode(data.meridian, position)]
+                relators = [P.encode(r) for r in P.relators]
+                meridian = [P.encode(data.meridian)]
                 args = (2 * len(P.alphabet), relators, meridian, 100_000)
                 rows, defined, collapses = _hlt(*args)
                 assert (rows, defined, collapses) == oracles.hlt_oracle(*args), (p, q)
@@ -302,19 +304,17 @@ class TestStructuralCertificates:
                 assert order % result.index == 0, (text, str(word))
 
     def test_completed_table_is_a_permutation_action(self):
-        # each signed-generator column of a closed table must be a bijection
-        # on the cosets, pairing with its inverse column
+        # each generator's image in a closed table must be a bijection on
+        # the cosets
         for text in (S3, DIHEDRAL8, SURGERED_SPUN_TREFOIL):
             P = parse_presentation(text)
             result = enumerate_cosets(P)
             assert result.kind == "Completed"
-            rows = result.table.rows
-            n = len(rows)
-            for column in range(2 * len(P.alphabet)):
-                images = [rows[c][column] for c in range(n)]
-                assert sorted(images) == list(range(n))
-                for c in range(n):
-                    assert rows[rows[c][column]][column ^ 1] == c
+            table = result.table
+            assert table.degree == result.index
+            assert table.alphabet == P.alphabet and len(table.images) == len(P.alphabet)
+            for image in table.images:
+                assert sorted(image) == list(range(result.index))
 
     def test_index_intrinsic_under_relator_reordering_fuzz(self):
         rng = random.Random(0)
@@ -353,7 +353,7 @@ class TestStructuralCertificates:
                 overflowed += 1
                 continue
             assert first.kind == "Completed"
-            assert all(v.table.rows == first.table.rows for v in verdicts)
+            assert all(v.table == first.table for v in verdicts)
             inside = trace(first.table, 0, candidate) == 0
             assert membership.kind == ("InSubgroup" if inside else "NotInSubgroup")
             if not subgroup:
@@ -372,7 +372,7 @@ class TestVerifyClosed:
     def test_corrupted_table_raises(self):
         P = parse_presentation("gens: x\nrels: x^3")
         # x acts as a transposition on three cosets, so x^3 does not close
-        table = CosetTable(P.alphabet, ((1, 1), (0, 0), (2, 2)))
+        table = PermutationAssignment(3, P.alphabet, ((1, 0, 2),))
         with pytest.raises(CertificateError) as exc:
             _verify_closed(P, (), table)
         assert not isinstance(exc.value, InputError)
@@ -381,49 +381,58 @@ class TestVerifyClosed:
                 parse_presentation("gens: x\nrels:"), [parse_word("x", [X])], table
             )
 
+    def test_subgroup_word_must_fix_coset_0(self):
+        # a transitive action that closes x^2, but x moves coset 0
+        P = parse_presentation("gens: x\nrels: x^2")
+        table = PermutationAssignment(2, P.alphabet, ((1, 0),))
+        _verify_closed(P, (), table)
+        with pytest.raises(CertificateError, match="coset 0"):
+            _verify_closed(P, [parse_word("x", P.alphabet)], table)
+
     def test_unreachable_coset_raises(self):
         # x fixes both cosets, so the relator x closes everywhere, but coset
         # 1 is not a coset of the subgroup coset 0 stands for
         P = parse_presentation("gens: x\nrels: x")
         with pytest.raises(CertificateError, match="reachable"):
-            _verify_closed(P, (), CosetTable(P.alphabet, ((0, 0), (1, 1))))
-        _verify_closed(P, (), CosetTable(P.alphabet, ((0, 0),)))
+            _verify_closed(P, (), PermutationAssignment(2, P.alphabet, ((0, 1),)))
+        _verify_closed(P, (), PermutationAssignment(1, P.alphabet, ((0,),)))
 
     def test_column_must_be_a_permutation(self):
         P = parse_presentation("gens: x\nrels: x^3")
-        for rows in (
-            ((1, 1), (1, 1), (0, 0)),  # x maps two cosets to 1
-            ((1, 1), (2, 2), (0, 0)),  # a 3-cycle is not its own inverse
-            ((1, 2), (2, 3), (0, 1)),  # an entry past the last coset
-            ((1, 2), (2, 0), (0,)),  # a short row
+        for images in (
+            ((1, 1, 0),),  # x maps two cosets to 1
+            ((1, 2, 3),),  # an entry past the last coset
+            ((1, 2),),  # a short image
+            ((1, 2, 0), (1, 2, 0)),  # an image for a generator P lacks
+            (),  # no image for x
         ):
-            with pytest.raises(CertificateError, match="permutation|shape"):
-                _verify_closed(P, (), CosetTable(P.alphabet, rows))
-        _verify_closed(P, (), CosetTable(P.alphabet, ((1, 2), (2, 0), (0, 1))))
-        with pytest.raises(CertificateError, match="shape"):
-            _verify_closed(P, (), CosetTable(P.alphabet, ()))
+            with pytest.raises(CertificateError, match="permutation"):
+                _verify_closed(P, (), PermutationAssignment(3, P.alphabet, images))
+        _verify_closed(P, (), PermutationAssignment(3, P.alphabet, ((1, 2, 0),)))
+        with pytest.raises(CertificateError, match="no cosets"):
+            _verify_closed(P, (), PermutationAssignment(0, P.alphabet, ((),)))
 
     def test_relator_trace_checked_on_a_transitive_action(self):
         # a transitive 3-cycle that x^2 does not close
         P = parse_presentation("gens: x\nrels: x^2")
         with pytest.raises(CertificateError, match="relator"):
-            _verify_closed(P, (), CosetTable(P.alphabet, ((1, 2), (2, 0), (0, 1))))
+            _verify_closed(P, (), PermutationAssignment(3, P.alphabet, ((1, 2, 0),)))
 
     def test_corrupted_table_raises_under_optimize(self):
         script = textwrap.dedent(
             """
-            from pochette.coset_enum import CosetTable, _verify_closed
+            from pochette.coset_enum import _verify_closed
             from pochette.errors import CertificateError
-            from pochette.presentations import parse_presentation
+            from pochette.presentations import PermutationAssignment, parse_presentation
 
             assert False, "asserts must be stripped by -O"
-            for text, rows in (
-                ("gens: x\\nrels: x^3", ((1, 1), (0, 0), (2, 2))),
-                ("gens: x\\nrels: x", ((0, 0), (1, 1))),
+            for text, degree, image in (
+                ("gens: x\\nrels: x^3", 3, (1, 0, 2)),
+                ("gens: x\\nrels: x", 2, (0, 1)),
             ):
                 P = parse_presentation(text)
                 try:
-                    _verify_closed(P, (), CosetTable(P.alphabet, rows))
+                    _verify_closed(P, (), PermutationAssignment(degree, P.alphabet, (image,)))
                 except CertificateError:
                     print("raised")
             """

@@ -10,9 +10,11 @@ from pochette.errors import InputError
 from pochette.presentations import (
     FinitePresentation,
     MissingSection,
+    PermutationAssignment,
     PresentationParseError,
     _relator_key,
     add_relator,
+    assignment_satisfies,
     format_presentation,
     parse_presentation,
     relators_equivalent,
@@ -195,6 +197,60 @@ class TestAddRelator:
         P = parse_presentation("gens: x,y\nrels: x y")
         once = add_relator(P, w("y^2 x"))
         assert add_relator(once, w("y^2 x")) == once
+
+
+@st.composite
+def permutation_actions(draw):
+    """(P, images): 2 or 3 generators, relators of up to 8 letters, degree 1 to 6."""
+    alphabet = (X, Y, Generator("z"))[: draw(st.sampled_from((2, 3)))]
+    letter = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=8), max_size=3))
+    P = FinitePresentation(alphabet, tuple(Word(tuple(r)) for r in relators))
+    degree = draw(st.integers(1, 6))
+    images = tuple(tuple(draw(st.permutations(range(degree)))) for _ in alphabet)
+    return P, images
+
+
+class TestAssignmentSatisfies:
+    @given(permutation_actions())
+    @settings(max_examples=400, deadline=None)
+    def test_against_letter_by_letter_oracle(self, case):
+        P, images = case
+        a = PermutationAssignment(len(images[0]), P.alphabet, images)
+        assert assignment_satisfies(P, a) == oracles.assignment_satisfies_oracle(P, a)
+
+    @given(permutation_actions(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_non_permutation_image_fails(self, case, data):
+        P, images = case
+        degree = len(images[0])
+        k = data.draw(st.integers(0, len(images) - 1))
+        image = list(images[k])
+        i = data.draw(st.integers(0, degree - 1))
+        how = data.draw(st.sampled_from(("short", "long", "past", "negative", "repeat")))
+        if how == "short":
+            del image[i]
+        elif how == "long":
+            image.append(i)
+        elif how == "past":
+            image[i] = degree
+        elif how == "negative":
+            image[i] = -1
+        else:
+            image[i] = image[i - 1] if degree > 1 else degree
+        broken = images[:k] + (tuple(image),) + images[k + 1 :]
+        a = PermutationAssignment(degree, P.alphabet, broken)
+        assert not assignment_satisfies(P, a)
+        assert not oracles.assignment_satisfies_oracle(P, a)
+
+    def test_images_follow_the_alphabet(self):
+        # a transposition satisfies x^2 but not y^3; another alphabet order
+        # would read y's image as x's
+        P = parse_presentation("gens: x,y\nrels: x^2 ; y^3")
+        images = ((1, 0, 2), (1, 2, 0))
+        assert assignment_satisfies(P, PermutationAssignment(3, P.alphabet, images))
+        assert not assignment_satisfies(P, PermutationAssignment(3, (Y, X), images))
+        assert not assignment_satisfies(P, PermutationAssignment(3, P.alphabet, images[:1]))
 
 
 class TestRelatorsEquivalent:

@@ -52,3 +52,18 @@ def test_package_imports_only_exported_names():
                 if alias.name not in exported
             ]
     assert unlisted == []
+
+
+def test_no_private_name_crosses_a_module():
+    # an underscore name belongs to its module; a second module that needs
+    # it should get a public name from its owner
+    crossing = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "pochette")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
