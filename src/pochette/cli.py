@@ -1,9 +1,14 @@
 """Command-line surface.
 
-Every subcommand emits a self-contained report, as text or JSON
-carrying identical fields (JSON schema version 1).  Reports reproduce
-bit-for-bit across runs except for the wall_ms timing field.  Exit code
-is 0 unless the inputs were invalid; inconclusive verdicts still exit 0.
+Every subcommand except cword and gen-fusion emits a self-contained
+report, as text or JSON carrying identical fields (JSON schema version
+1).  Reports reproduce bit-for-bit across runs except for the wall_ms
+timing field.  Exit code is 0 unless the inputs were invalid;
+inconclusive verdicts still exit 0.
+
+Each report subcommand declares its flags once, in ``_build_parser``.
+``_run_report`` resolves them and echoes each but ``--jobs`` at its
+resolved value in the report's ``command``, with ``--format`` last.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -52,25 +58,20 @@ __all__ = ["main"]
 _SLOPE_RE = re.compile(r"(-?\d+)\s*/\s*(-?\d+)")
 
 
-def _render_text(value, indent: int = 0) -> list[str]:
+def _render_text(value: dict | list, indent: int = 0) -> list[str]:
+    """Indented lines for a report: ``key:`` labels a dict item, ``-`` a list item."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+        labeled = [(f"{key}:", item) for key, item in value.items()]
     else:
-        lines.append(f"{pad}{_scalar(value)}")
+        labeled = [("-", item) for item in value]
+    lines: list[str] = []
+    for label, item in labeled:
+        if isinstance(item, (dict, list)) and item:
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_text(item, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar(item)}")
     return lines
 
 
@@ -89,20 +90,6 @@ def _emit(report: dict, fmt: str):
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(_render_text(report)))
-
-
-def _echo(command: str, source: str, **options) -> str:
-    """Reconstruct a canonical, re-runnable invocation.
-
-    Option values are attached with '=' so that values starting with a
-    dash (negative ranges, slopes) survive argument parsing when the
-    echoed command is pasted back.
-    """
-    parts = ["pochette", command, shlex.quote(source)]
-    for flag, value in options.items():
-        name = flag.replace("_", "-")
-        parts.append(shlex.quote(f"--{name}={value}"))
-    return " ".join(parts)
 
 
 def _parse_slope(text: str, framing: int) -> SlopeSpec:
@@ -133,13 +120,6 @@ def _load_source(source: str) -> tuple[FinitePresentation, str, str]:
     return parse_presentation(_read(source, "presentation")), "", ""
 
 
-def _require_word(P: FinitePresentation, text: str, default: str, flag: str):
-    chosen = text if text is not None else default
-    if not chosen:
-        raise InputError(f"--{flag} is required for presentation file sources")
-    return parse_word(chosen, P.alphabet), chosen
-
-
 def _presentation_fields(P: FinitePresentation) -> dict:
     gens_line, rels_line = format_presentation(P).splitlines()
     return {
@@ -160,21 +140,29 @@ def _enumeration_fields(verdict, index_key: str, with_kind: bool = False) -> dic
     }
 
 
-def _embedding(args, source) -> tuple[PochetteEmbeddingData, str, str]:
-    """Embedding data plus the meridian and longitude texts actually used."""
-    P, default_m, default_l = source
-    meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
-    longitude, longitude_text = _require_word(P, args.longitude, default_l, "longitude")
-    return PochetteEmbeddingData(P, meridian, longitude), meridian_text, longitude_text
+def _run_report(handler, flags: list[argparse.Action], args) -> int:
+    """Run one report subcommand, whose declared flags are ``flags``.
 
-
-def _run_report(handler, args) -> int:
-    """Run one report subcommand and print its report.
-
-    ``handler(args, source, timed)`` returns the options echoed in the
-    command and the report body; it passes its main computation through
-    ``timed``, whose duration becomes ``wall_ms``.
+    An absent meridian or longitude takes the source's default, and each
+    budget flag its Budgets value; both go back into ``args``.
+    ``handler(args, P, budgets, timed, **words)`` gets the parsed words
+    and returns the rest of the body.  It passes its main computation
+    through ``timed``, whose duration becomes ``wall_ms``, and stores a
+    flag it normalizes back into ``args`` for the echo.
     """
+    P, *defaults = _load_source(args.source)
+    values = vars(args)
+    words = {}
+    for name, default in zip(("meridian", "longitude"), defaults):
+        if name in values:
+            if values[name] is None:
+                values[name] = default
+            if not values[name]:
+                raise InputError(f"--{name} is required for presentation file sources")
+            words[name] = parse_word(values[name], P.alphabet)
+    budget_flags = {f.name: values[f.name] for f in fields(Budgets) if f.name in values}
+    budgets = Budgets.with_overrides(**budget_flags)
+    values.update((name, getattr(budgets, name)) for name in budget_flags)
     wall_s = 0.0
 
     def timed(fn, *fn_args):
@@ -184,11 +172,20 @@ def _run_report(handler, args) -> int:
         wall_s = time.perf_counter() - start
         return result
 
-    options, body = handler(args, _load_source(args.source), timed)
+    body = handler(args, P, budgets, timed, **words)
+    # a value follows '=' so that one starting with a dash (a negative range
+    # or slope) survives when the command is pasted back; --jobs cannot
+    # change the report
+    echoed = [
+        f"{flag.option_strings[0]}={values[flag.dest]}" for flag in flags if flag.dest != "jobs"
+    ]
     report = {
         "schema": 1,
-        "command": _echo(args.command, args.source, **options, format=args.format),
+        "command": shlex.join(
+            ["pochette", args.command, args.source, *echoed, f"--format={args.format}"]
+        ),
         "source": args.source,
+        **{name: values[name] for name in words},
         **body,
         "wall_ms": round(wall_s * 1000, 1),
     }
@@ -203,21 +200,11 @@ def _invariants_with_pi1(data, slope, budgets):
     return inv
 
 
-def _surger(args, source, timed):
-    slope = _parse_slope(args.slope, args.framing)
-    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
-    data, meridian_text, longitude_text = _embedding(args, source)
+def _surger(args, P, budgets, timed, meridian, longitude):
+    args.slope = slope = _parse_slope(args.slope, args.framing)  # echoed as p/q with p >= 0
+    data = PochetteEmbeddingData(P, meridian, longitude)
     inv = timed(_invariants_with_pi1, data, slope, budgets)
-    options = {
-        "meridian": meridian_text,
-        "longitude": longitude_text,
-        "slope": f"{slope.p}/{slope.q}",
-        "framing": slope.epsilon,
-        "max_cosets": budgets.max_cosets,
-    }
-    return options, {
-        "meridian": meridian_text,
-        "longitude": longitude_text,
+    return {
         "slope": {"p": slope.p, "q": slope.q, "epsilon": slope.epsilon},
         "linking": inv.linking,
         "p_plus_q_ell": inv.p_plus_q_ell,
@@ -284,61 +271,43 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sweep(args, source, timed):
+def _sweep(args, P, budgets, timed, meridian, longitude):
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    data, meridian_text, longitude_text = _embedding(args, source)
+    data = PochetteEmbeddingData(P, meridian, longitude)
     slopes = _sweep_slopes(_parse_range(args.p_range), _parse_range(args.q_range))
-    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
     jobs = [(data, p, q, args.framing, budgets) for p, q in slopes]
     rows = timed(_sweep_rows, jobs, args.jobs)
-    options = {
-        "meridian": meridian_text,
-        "longitude": longitude_text,
-        "p_range": args.p_range,
-        "q_range": args.q_range,
-        "framing": args.framing,
-        "max_cosets": budgets.max_cosets,
-    }
-    return options, {
-        "meridian": meridian_text,
-        "longitude": longitude_text,
+    return {
         "rows": rows,
         "epsilon_note": EPSILON_NOTE,
     }
 
 
-def _enumerate(args, source, timed):
-    P = source[0]
+def _enumerate(args, P, budgets, timed):
     subgroup = [
-        parse_word(piece, P.alphabet)
-        for piece in (args.subgroup or "").split(";")
-        if piece.strip()
+        parse_word(piece, P.alphabet) for piece in args.subgroup.split(";") if piece.strip()
     ]
-    budgets = Budgets.with_overrides(max_cosets=args.max_cosets)
     result = timed(enumerate_cosets, P, subgroup, budgets.max_cosets)
-    options = {"subgroup": args.subgroup or "", "max_cosets": budgets.max_cosets}
-    return options, {
+    return {
         "subgroup": [word_to_text(w) for w in subgroup],
         "outcome": "Overflow" if result.index is None else "Completed",
         **_enumeration_fields(result, "index"),
     }
 
 
-def _abelianize(args, source, timed):
-    inv = timed(abelian_invariants, source[0])
-    return {}, {
+def _abelianize(args, P, budgets, timed):
+    inv = timed(abelian_invariants, P)
+    return {
         "invariants": str(inv),
         "free_rank": inv.free_rank,
         "torsion": list(inv.torsion),
     }
 
 
-def _simplify(args, source, timed):
-    P = source[0]
-    budgets = Budgets.with_overrides(tietze_steps=args.steps)
+def _simplify(args, P, budgets, timed):
     result = timed(tietze_simplify, P, budgets.tietze_steps)
-    return {"steps": budgets.tietze_steps}, {
+    return {
         "before": _presentation_fields(P),
         "after": _presentation_fields(result.presentation),
         "steps_applied": result.steps,
@@ -346,13 +315,8 @@ def _simplify(args, source, timed):
     }
 
 
-def _cordcheck(args, source, timed):
-    P, default_m, _ = source
-    meridian, meridian_text = _require_word(P, args.meridian, default_m, "meridian")
+def _cordcheck(args, P, budgets, timed, meridian):
     cord = parse_word(args.cord, P.alphabet)
-    budgets = Budgets.with_overrides(
-        max_cosets=args.max_cosets, quotient_degree=args.degree
-    )
     verdict = timed(cord_triviality, P, meridian, cord, budgets)
     witness = None
     if verdict.witness is not None:
@@ -363,14 +327,7 @@ def _cordcheck(args, source, timed):
                 for g, perm in zip(verdict.witness.alphabet, verdict.witness.images)
             },
         }
-    options = {
-        "meridian": meridian_text,
-        "cord": args.cord,
-        "max_cosets": budgets.max_cosets,
-        "degree": budgets.quotient_degree,
-    }
-    return options, {
-        "meridian": meridian_text,
+    return {
         "cord": args.cord,
         "verdict": verdict.kind,
         "detail": verdict.detail,
@@ -399,6 +356,18 @@ def _cmd_gen_fusion(args) -> int:
     return 0
 
 
+def _flag(*names: str, **kwargs) -> tuple:
+    """A flag's add_argument arguments."""
+    return names, kwargs
+
+
+# flags of several report subcommands; a budget flag's dest is its Budgets field
+_MERIDIAN = _flag("--meridian")
+_LONGITUDE = _flag("--longitude")
+_FRAMING = _flag("--framing", type=int, default=0, choices=(0, 1))
+_MAX_COSETS = _flag("--max-cosets", type=int)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -407,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_report(name, handler, help):
+    def add_report(name, handler, help, *flags):
         p = sub.add_parser(name, help=help)
         p.add_argument(
             "source",
@@ -415,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "or 'fusion:<path>'",
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=partial(_run_report, handler))
-        return p
+        declared = [p.add_argument(*names, **kwargs) for names, kwargs in flags]
+        p.set_defaults(func=partial(_run_report, handler, declared))
 
     p = sub.add_parser("cword", help="print the slope word over the letters m, l")
     p.add_argument("-p", type=int, required=True)
@@ -424,36 +393,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
     p.set_defaults(func=_cmd_cword)
 
-    p = add_report("surger", _surger, "full surgery invariant report with verdict")
-    p.add_argument("--meridian")
-    p.add_argument("--longitude")
-    p.add_argument("--slope", required=True, help="p/q")
-    p.add_argument("--framing", type=int, default=0, choices=(0, 1))
-    p.add_argument("--max-cosets", type=int)
-
-    p = add_report("sweep", _sweep, "verdict table over a grid of slopes")
-    p.add_argument("--meridian")
-    p.add_argument("--longitude")
-    p.add_argument("--p-range", required=True, help="lo:hi")
-    p.add_argument("--q-range", required=True, help="lo:hi")
-    p.add_argument("--framing", type=int, default=0, choices=(0, 1))
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-cosets", type=int)
-
-    p = add_report("enumerate", _enumerate, "coset enumeration index and statistics")
-    p.add_argument("--subgroup", help="subgroup generator words separated by ';'")
-    p.add_argument("--max-cosets", type=int)
-
+    add_report(
+        "surger", _surger, "full surgery invariant report with verdict",
+        _MERIDIAN, _LONGITUDE, _flag("--slope", required=True, help="p/q"),
+        _FRAMING, _MAX_COSETS,
+    )
+    add_report(
+        "sweep", _sweep, "verdict table over a grid of slopes",
+        _MERIDIAN, _LONGITUDE,
+        _flag("--p-range", required=True, help="lo:hi"),
+        _flag("--q-range", required=True, help="lo:hi"),
+        _FRAMING, _flag("--jobs", type=int, default=1), _MAX_COSETS,
+    )
+    add_report(
+        "enumerate", _enumerate, "coset enumeration index and statistics",
+        _flag("--subgroup", default="", help="subgroup generator words separated by ';'"),
+        _MAX_COSETS,
+    )
     add_report("abelianize", _abelianize, "abelian invariants of a presentation")
-
-    p = add_report("simplify", _simplify, "Tietze-simplify a presentation")
-    p.add_argument("--steps", type=int, help="move budget")
-
-    p = add_report("cordcheck", _cordcheck, "classify a cord against the trivial class")
-    p.add_argument("--meridian")
-    p.add_argument("--cord", required=True)
-    p.add_argument("--max-cosets", type=int)
-    p.add_argument("--degree", type=int, help="quotient search degree cap")
+    add_report(
+        "simplify", _simplify, "Tietze-simplify a presentation",
+        _flag("--steps", dest="tietze_steps", metavar="STEPS", type=int, help="move budget"),
+    )
+    add_report(
+        "cordcheck", _cordcheck, "classify a cord against the trivial class",
+        _MERIDIAN, _flag("--cord", required=True), _MAX_COSETS,
+        _flag(
+            "--degree", dest="quotient_degree", metavar="DEGREE", type=int,
+            help="quotient search degree cap",
+        ),
+    )
 
     p = sub.add_parser("gen-fusion", help="print seeded random fusion data")
     p.add_argument("--n", type=int, required=True)
@@ -472,7 +441,3 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,11 +1,17 @@
+import errno
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pochette import cli
 from pochette.cli import _render_text, main
+
+
+Z6 = str(Path(__file__).parent / "corpus" / "z6.txt")
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +125,13 @@ class TestSurger:
         a = strip_volatile(run_json(capsys, "surger", "spun-trefoil", "--slope", "1/2"))
         b = strip_volatile(run_json(capsys, "surger", "spun-trefoil", "--slope", "1/2"))
         assert a == b
+
+    def test_echo_carries_the_normalized_slope(self, capsys):
+        report = run_json(capsys, "surger", "spun-trefoil", "--slope=-1/-2")
+        assert report["command"] == (
+            "pochette surger spun-trefoil --meridian=x --longitude=y --slope=1/2 "
+            "--framing=0 --max-cosets=100000 --format=json"
+        )
 
     def test_framing_echoed_not_consumed(self, capsys):
         r0 = strip_volatile(run_json(capsys, "surger", "spun-trefoil", "--slope", "1/2", "--framing", "0"))
@@ -412,3 +425,45 @@ class TestEntryPoint:
         a, b = json.loads(first.stdout), json.loads(second.stdout)
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+def _unreadable(kind, path):
+    exc = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return f"cannot read {kind} file {path!r}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("surger", Z6, "--slope=1/2"),
+         "--meridian is required for presentation file sources"),
+        (("sweep", Z6, "--p-range=1:2", "--q-range=1:2"),
+         "--meridian is required for presentation file sources"),
+        (("cordcheck", Z6, "--cord=y"),
+         "--meridian is required for presentation file sources"),
+        (("surger", Z6, "--meridian=x", "--slope=1/2"),
+         "--longitude is required for presentation file sources"),
+        (("surger", "spun-trefoil", "--slope=1/x"), "slope must look like p/q, got '1/x'"),
+        (("surger", "spun-trefoil", "--slope=2/4"), "slope (2, 4) is not coprime"),
+        (("sweep", "spun-trefoil", "--p-range=3:1", "--q-range=1:2"), "empty range '3:1'"),
+        (("sweep", "spun-trefoil", "--p-range=1", "--q-range=1:2"),
+         "range must look like lo:hi, got '1'"),
+        (("sweep", "spun-trefoil", "--p-range=a:b", "--q-range=1:2"),
+         "range bounds must be integers: 'a:b'"),
+        (("sweep", "spun-trefoil", "--p-range=1:2", "--q-range=1:2", "--jobs=0"),
+         "--jobs must be at least 1"),
+        (("cordcheck", "spun-trefoil", "--cord=z"), "unknown generator 'z'"),
+        (("enumerate", "spun-trefoil", "--subgroup=z"), "unknown generator 'z'"),
+        (("surger", "spun-trefoil", "--meridian=y^2", "--slope=1/2"),
+         "meridian 'y^2' does not generate the abelianization"),
+        (("surger", "one-fusion:x", "--slope=1/2"),
+         "one-fusion preset must look like one-fusion:<word>:<sign>"),
+        (("abelianize", "missing.txt"), _unreadable("presentation", "missing.txt")),
+        (("abelianize", "fusion:missing.fus"), _unreadable("fusion", "missing.fus")),
+    ],
+)
+def test_single_fault_keeps_its_error(capsys, monkeypatch, tmp_path, argv, message):
+    """One fault per call: exit 2, nothing on stdout, and exactly that fault's error."""
+    monkeypatch.chdir(tmp_path)  # the missing files are missing here
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

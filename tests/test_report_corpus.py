@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 from unittest import mock
@@ -118,6 +119,20 @@ def test_report_matches_corpus(case, suffix, monkeypatch):
         monkeypatch.setenv(var, value)
     expected = (CORPUS / f"{case}.{suffix}").read_text()
     assert _run(CASES[case], FORMATS[suffix]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_echoed_command_reproduces_the_report(case, monkeypatch):
+    monkeypatch.chdir(CORPUS)
+    with monkeypatch.context() as env:
+        for var, value in ENV.get(case, {}).items():
+            env.setenv(var, value)
+        first = json.loads(_run(CASES[case], "json"))
+    # the echo runs without the case's environment, so it must carry the
+    # resolved value of every flag, budgets included
+    program, *argv = shlex.split(first["command"])
+    assert program == "pochette" and argv[-1] == "--format=json"
+    assert json.loads(_strip_wall_ms(_stdout(argv), "json")) == first
 
 
 @pytest.mark.parametrize("case", sorted(PLAIN_CASES))
