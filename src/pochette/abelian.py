@@ -7,12 +7,13 @@ around.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import CertificateError
 from .presentations import FinitePresentation
-from .words import Generator, Word, exponent_sum
+from .words import Generator, Word
 
 __all__ = [
     "AbelianInvariants",
@@ -176,8 +177,15 @@ def smith_normal_form(
 
 
 def relator_matrix(P: FinitePresentation) -> list[list[int]]:
-    """Rows = relators, columns = generators, entries = exponent sums."""
-    return [[exponent_sum(rel, g) for g in P.alphabet] for rel in P.relators]
+    """Rows = relators, columns = generators, entries = exponent sums.
+
+    Each relator is read once, counting its signed letters, for all columns.
+    """
+    rows = []
+    for rel in P.relators:
+        count = Counter(rel.letters)
+        rows.append([count[g, 1] - count[g, -1] for g in P.alphabet])
+    return rows
 
 
 def _abelianize(P: FinitePresentation) -> tuple[AbelianInvariants, list[list[int]]]:

@@ -112,13 +112,12 @@ def surgery_relator_word(slope: SlopeSpec) -> Word:
             "slope 0 surgery attaches along the longitude itself"
         )
     p, q = slope.p, slope.q
+    l_letter = ((LONGITUDE_LETTER, 1 if q > 0 else -1),)  # each block has q's sign
     letters: list[tuple[Generator, int]] = []
     prev = 0
     for k in range(1, p + 1):
         cur = (k * q) // p
-        exponent = cur - prev
-        sign = 1 if exponent > 0 else -1
-        letters.extend((LONGITUDE_LETTER, sign) for _ in range(abs(exponent)))
+        letters += l_letter * abs(cur - prev)
         letters.append((MERIDIAN_LETTER, 1))
         prev = cur
     return Word(tuple(letters))

@@ -2,14 +2,16 @@
 
 Words are stored freely reduced, as flat sequences of signed letters;
 the printer re-collects runs into ``name^k`` syllables.  Equality and
-hashing are therefore structural.
+hashing of words are therefore structural.  Generators are interned, one
+object per name, so they compare and hash by identity.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import total_ordering
+from typing import ClassVar, Iterable, Mapping
 
 from .errors import InputError
 
@@ -62,15 +64,41 @@ class MissingImage(InputError):
         super().__init__(f"no image given for generator {generator.name!r}")
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Generator:
-    """A named free-group generator.  Identified purely by its name."""
+    """A named free-group generator, interned: one immutable object per name.
 
-    name: str
+    ``==`` and ``hash`` are therefore object identity; generators order
+    by name, and pickling or copying one returns the interned object.
+    """
 
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise InputError(f"bad generator name {self.name!r}")
+    __slots__ = ("name",)
+    _interned: ClassVar[dict[str, "Generator"]] = {}
+
+    def __new__(cls, name: str) -> "Generator":
+        gen = cls._interned.get(name)
+        if gen is None:
+            if not _NAME_RE.fullmatch(name):
+                raise InputError(f"bad generator name {name!r}")
+            gen = object.__new__(cls)
+            object.__setattr__(gen, "name", name)
+            gen = cls._interned.setdefault(name, gen)
+        return gen
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to {attr!r}: generators are immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete {attr!r}: generators are immutable")
+
+    def __reduce__(self):
+        return (Generator, (self.name,))
+
+    def __lt__(self, other):
+        return self.name < other.name if isinstance(other, Generator) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Generator(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -187,13 +215,13 @@ def invert(w: Word) -> Word:
 
 
 def cyclically_reduce(w: Word) -> Word:
-    """Strip matching first/last letters until none match."""
+    """Strip matching first/last letters until none match; w itself if none do."""
     letters = w.letters
     i, j = 0, len(letters) - 1
     while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
         i += 1
         j -= 1
-    return Word(letters[i : j + 1])
+    return w if i == 0 else Word(letters[i : j + 1])
 
 
 def exponent_sum(w: Word, g: Generator) -> int:

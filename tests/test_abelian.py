@@ -9,6 +9,7 @@ from pochette.abelian import (
     AbelianInvariants,
     abelian_invariants,
     hom_to_Z,
+    relator_matrix,
     smith_normal_form,
     word_image,
 )
@@ -202,6 +203,7 @@ class TestHomToZ:
             [sum(s for h, s in rel.letters if h == g) for g in P.alphabet]
             for rel in P.relators
         ]
+        assert relator_matrix(P) == rows
         diag = oracles.snf_diagonal_oracle(rows)
         infinite_cyclic = (
             len(P.alphabet) - sum(1 for d in diag if d) == 1

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +20,10 @@ from pochette.words import (
     substitute,
     word_to_text,
 )
+from pochette.budgets import Budgets
+from pochette.cli import _sweep_worker
 from pochette.errors import InputError
+from pochette.ribbon import spun_trefoil_embedding
 
 X = Generator("x")
 Y = Generator("y")
@@ -91,6 +97,41 @@ class TestParse:
         with pytest.raises(InputError):
             Generator("")
 
+    def test_generators_are_interned(self):
+        assert Generator("x") is X
+        assert Generator(name="y") is Y
+        assert repr(X) == "Generator(name='x')"
+        assert sorted([Generator("b"), Generator("a2"), Generator("a")]) == [
+            Generator("a"), Generator("a2"), Generator("b")
+        ]
+        assert X < Y and Y >= X and not X > X
+        with pytest.raises(AttributeError):
+            X.name = "z"
+        with pytest.raises(AttributeError):
+            X.other = 1
+        with pytest.raises(AttributeError):
+            del X.name
+        assert X.name == "x"
+
+    def test_generator_copies_are_the_interned_object(self):
+        pickled = [pickle.dumps(X, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (
+            *map(pickle.loads, pickled),
+            copy.copy(X),
+            copy.deepcopy(X),
+            copy.deepcopy([X, (X, 1)])[1][0],
+        ):
+            assert copied is X
+
+    def test_sweep_job_survives_pickle(self):
+        # --jobs sends each (data, p, q, epsilon, budgets) tuple to a worker
+        # process, pickled under the spawn and forkserver start methods
+        job = (spun_trefoil_embedding(), 5, 6, 1, Budgets(max_cosets=1000))
+        copied = pickle.loads(pickle.dumps(job))
+        assert copied == job
+        assert copied[0].knot_group.alphabet[0] is job[0].knot_group.alphabet[0]
+        assert _sweep_worker(copied) == _sweep_worker(job)
+
     @given(words)
     def test_round_trip(self, word):
         assert parse_word(word_to_text(word), ALPHABET) == word
@@ -138,7 +179,7 @@ class TestAlgebra:
     def test_cyclic_reduce_idempotent_and_shorter(self, word):
         once = cyclically_reduce(word)
         assert len(once) <= len(word)
-        assert cyclically_reduce(once) == once
+        assert cyclically_reduce(once) is once
 
     @given(conjugated_words)
     def test_cyclic_reduce_against_oracle(self, word):
