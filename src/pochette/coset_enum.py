@@ -10,9 +10,11 @@ at the first undefined (coset, signed generator) pair in scan order.
 While it runs the table is kept by column, one list per signed letter
 indexed by coset, and every relator and subgroup word is compiled once
 to its lists of columns.  The statistics a report prints (cosets
-defined, collapses) are those of the row-per-coset layout.  A closed
-table is returned as the ``PermutationAssignment`` of the generators on
-the cosets, coset 0 the subgroup, and ``_verify_closed`` re-checks it:
+defined, collapses) are those of the row-per-coset layout.  The kernel
+hands a closed table over once, as ``(degree, columns)`` over the live
+cosets; ``enumerate_cosets`` keeps the generators' columns as the
+``PermutationAssignment`` on the cosets, coset 0 the subgroup, and
+``_verify_closed`` re-checks it:
 a transitive permutation action that ``assignment_satisfies`` accepts,
 in which every subgroup word fixes coset 0.
 """
@@ -20,6 +22,8 @@ in which every subgroup word fixes coset 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress, count, repeat
+from operator import eq
 
 from .abelian import abelian_invariants
 from .budgets import Budgets
@@ -64,14 +68,16 @@ def _hlt(
     relators: list[tuple[int, ...]],
     subgroup: list[tuple[int, ...]],
     max_cosets: int,
-) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
+) -> tuple[tuple[int, tuple[tuple[int, ...], ...]] | None, int, int]:
     """Run the HLT main loop.
 
-    Returns (rows, defined, collapses); rows is None when the coset
-    bound was hit.  On success rows is the closed table over the live
-    cosets, renumbered in order: every relator and subgroup-generator
-    scan closes.  Dead cosets keep their numbers, so ``defined`` is the
-    number of cosets ever made.
+    Returns (closed, defined, collapses); closed is None when the coset
+    bound was hit.  On success closed is ``(degree, columns)``, the
+    closed table over the live cosets, renumbered in order, with one
+    column per letter, ``columns[lt][coset]``: every relator and
+    subgroup-generator scan closes.  Dead cosets keep their numbers
+    while the kernel runs, so ``defined`` is the number of cosets ever
+    made.
 
     The table is kept by column, ``cols[lt][coset]``, and each word is
     compiled to its forward columns and to the inverse letters' columns
@@ -209,24 +215,14 @@ def _hlt(
                             inv[n] = alpha
                             n += 1
             alpha += 1
-        live = [c for c in range(n) if parent[c] == c]
-        closed = [[col[c] for c in live] for col in cols]
+        live = list(compress(range(n), map(eq, parent, range(n))))
+        closed = [list(map(col.__getitem__, live)) for col in cols]
         if all(UNDEF not in column for column in closed):
             break
-    # a dead coset's parent is a smaller coset, so one pass in order gives
-    # every coset the new number of its live representative
-    label = [0] * n
-    k = 0
-    for c in range(n):
-        if parent[c] == c:
-            label[c] = k
-            k += 1
-        else:
-            label[c] = label[parent[c]]
-    if not cols:
-        return ((),), n, collapses
-    rows = tuple(zip(*([label[e] for e in column] for column in closed)))
-    return rows, n, collapses
+    # a live row names live cosets only; UNDEF stands in for any other
+    label = dict(zip(live, count()))
+    columns = tuple(tuple(map(label.get, column, repeat(UNDEF))) for column in closed)
+    return (len(live), columns), n, collapses
 
 
 def enumerate_cosets(
@@ -245,13 +241,14 @@ def enumerate_cosets(
     relators = [P.encode(r) for r in P.relators]
     subgroup_words = [P.encode(w) for w in subgroup]
 
-    rows, defined, collapses = _hlt(2 * len(P.alphabet), relators, subgroup_words, max_cosets)
+    closed, defined, collapses = _hlt(2 * len(P.alphabet), relators, subgroup_words, max_cosets)
     stats = (defined, collapses, max_cosets, tuple(subgroup))
-    if rows is None:
+    if closed is None:
         return EnumerationVerdict("Unknown", None, *stats)
-    table = PermutationAssignment(len(rows), P.alphabet, tuple(zip(*rows))[::2])
+    degree, columns = closed
+    table = PermutationAssignment(degree, P.alphabet, columns[::2])
     _verify_closed(P, subgroup, table)
-    return EnumerationVerdict("Completed", len(rows), *stats, table)
+    return EnumerationVerdict("Completed", degree, *stats, table)
 
 
 def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignment):
@@ -265,7 +262,7 @@ def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignmen
     n = action.degree
     if n == 0:
         raise CertificateError("coset table has no cosets")
-    if not action.is_action():
+    if not action.is_action:
         raise CertificateError("coset table column is not a permutation")
     # the images are permutations, so they reach the orbit of coset 0
     reached = [True] + [False] * (n - 1)

@@ -161,6 +161,7 @@ class PermutationAssignment:
     alphabet: tuple[Generator, ...]
     images: tuple[Perm, ...]
 
+    @cached_property
     def is_action(self) -> bool:
         """True iff there is one image per generator, each a permutation of the points."""
         points = list(range(self.degree))
@@ -182,7 +183,7 @@ class PermutationAssignment:
 
 def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> bool:
     """True iff a is an action of P's generators in which every relator fixes every point."""
-    if a.alphabet != P.alphabet or not a.is_action():
+    if a.alphabet != P.alphabet or not a.is_action:
         return False
     # on at most one point every permutation is the identity; on more, an
     # itemgetter of several keys maps all points at once

@@ -3,14 +3,15 @@
 Words are stored freely reduced, as flat sequences of signed letters;
 the printer re-collects runs into ``name^k`` syllables.  Equality and
 hashing of words are therefore structural.  Generators are interned, one
-object per name, so they compare and hash by identity.
+object per name, so equality and hash are identity through ``object``'s
+C slots; generators have no order, and code that needs one sorts by
+``.name``.  The letter loops test generators with ``is``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import ClassVar, Iterable, Mapping
 
 from .errors import InputError
@@ -64,12 +65,12 @@ class MissingImage(InputError):
         super().__init__(f"no image given for generator {generator.name!r}")
 
 
-@total_ordering
 class Generator:
     """A named free-group generator, interned: one immutable object per name.
 
-    ``==`` and ``hash`` are therefore object identity; generators order
-    by name, and pickling or copying one returns the interned object.
+    ``==`` and ``hash`` are therefore object identity, inherited from
+    ``object``'s C slots; generators have no order (sort by ``.name``),
+    and pickling or copying one returns the interned object.
     """
 
     __slots__ = ("name",)
@@ -94,9 +95,6 @@ class Generator:
     def __reduce__(self):
         return (Generator, (self.name,))
 
-    def __lt__(self, other):
-        return self.name < other.name if isinstance(other, Generator) else NotImplemented
-
     def __repr__(self) -> str:
         return f"Generator(name={self.name!r})"
 
@@ -109,13 +107,16 @@ Letter = tuple[Generator, int]
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
+    last = None  # the generator of stack[-1]; None also on an empty stack
     for gen, sign in letters:
-        if sign not in (1, -1):
+        if sign != 1 and sign != -1:
             raise ValueError(f"letter sign must be +-1, got {sign}")
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
+        if gen is last and stack and stack[-1][1] != sign:
             stack.pop()
+            last = stack[-1][0] if stack else None
         else:
             stack.append((gen, sign))
+            last = gen
     return tuple(stack)
 
 
@@ -200,7 +201,7 @@ def word_to_text(w: Word) -> str:
     parts: list[str] = []
     run_gen, run_exp = w.letters[0][0], w.letters[0][1]
     for gen, sign in w.letters[1:]:
-        if gen == run_gen and (run_exp > 0) == (sign > 0):
+        if gen is run_gen and (run_exp > 0) == (sign > 0):
             run_exp += sign
         else:
             parts.append(run_gen.name if run_exp == 1 else f"{run_gen.name}^{run_exp}")
@@ -218,7 +219,7 @@ def cyclically_reduce(w: Word) -> Word:
     """Strip matching first/last letters until none match; w itself if none do."""
     letters = w.letters
     i, j = 0, len(letters) - 1
-    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+    while i < j and letters[i][0] is letters[j][0] and letters[i][1] == -letters[j][1]:
         i += 1
         j -= 1
     return w if i == 0 else Word(letters[i : j + 1])

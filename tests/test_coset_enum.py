@@ -144,25 +144,35 @@ def coded_presentations(draw, subgroup_words):
     return nletters, relators, subgroup
 
 
+def by_column(result):
+    """``oracles.hlt_oracle``'s (rows, defined, collapses) in ``_hlt``'s form.
+
+    The closed rows become (degree, columns), one column per letter,
+    inverse letters included; an overflow stays None.
+    """
+    rows, defined, collapses = result
+    return (None if rows is None else (len(rows), tuple(zip(*rows))), defined, collapses)
+
+
 class TestKernelAgainstOracle:
     """The column kernel matches the row-per-coset kernel it replaced.
 
-    Equal (rows, defined, collapses) means every definition and every
+    Equal (table, defined, collapses) means every definition and every
     coincidence happened in the same order.
     """
 
     def check(self, nletters, relators, subgroup, max_cosets=2000):
-        expected = oracles.hlt_oracle(nletters, relators, subgroup, max_cosets)
+        expected = by_column(oracles.hlt_oracle(nletters, relators, subgroup, max_cosets))
         assert _hlt(nletters, relators, subgroup, max_cosets) == expected
-        rows, defined, _ = expected
+        closed, defined, _ = expected
         budgets = {1}
-        if rows is not None:
+        if closed is not None:
             # exactly enough cosets, and one short of them (an overflow)
             budgets |= {defined, defined - 1} - {0}
         for budget in sorted(budgets):
-            expected = oracles.hlt_oracle(nletters, relators, subgroup, budget)
+            expected = by_column(oracles.hlt_oracle(nletters, relators, subgroup, budget))
             assert _hlt(nletters, relators, subgroup, budget) == expected, budget
-            if rows is not None and budget == defined - 1:
+            if closed is not None and budget == defined - 1:
                 assert expected[0] is None
 
     @given(coded_presentations(subgroup_words=(0, 0)))
@@ -186,9 +196,9 @@ class TestKernelAgainstOracle:
                 relators = [P.encode(r) for r in P.relators]
                 meridian = [P.encode(data.meridian)]
                 args = (2 * len(P.alphabet), relators, meridian, 100_000)
-                rows, defined, collapses = _hlt(*args)
-                assert (rows, defined, collapses) == oracles.hlt_oracle(*args), (p, q)
-                assert rows is not None and len(rows) == 1, (p, q)
+                closed, defined, collapses = _hlt(*args)
+                assert (closed, defined, collapses) == by_column(oracles.hlt_oracle(*args)), (p, q)
+                assert closed is not None and closed[0] == 1, (p, q)
 
     def test_order_10752_pinned(self):
         result = enumerate_cosets(parse_presentation(ORDER_10752))
@@ -402,6 +412,7 @@ class TestVerifyClosed:
         for images in (
             ((1, 1, 0),),  # x maps two cosets to 1
             ((1, 2, 3),),  # an entry past the last coset
+            ((1, -1, 0),),  # UNDEF, the entry _hlt gives one naming a dead coset
             ((1, 2),),  # a short image
             ((1, 2, 0), (1, 2, 0)),  # an image for a generator P lacks
             (),  # no image for x
@@ -411,6 +422,19 @@ class TestVerifyClosed:
         _verify_closed(P, (), PermutationAssignment(3, P.alphabet, ((1, 2, 0),)))
         with pytest.raises(CertificateError, match="no cosets"):
             _verify_closed(P, (), PermutationAssignment(0, P.alphabet, ((),)))
+
+    def test_cached_is_action_is_per_table(self):
+        # is_action is computed once per object; an equal-sized table with
+        # the same alphabet must not inherit another's answer
+        P = parse_presentation("gens: x\nrels: x^3")
+        bad = PermutationAssignment(3, P.alphabet, ((1, 1, 0),))
+        good = PermutationAssignment(3, P.alphabet, ((1, 2, 0),))
+        for _ in range(2):
+            assert not bad.is_action and good.is_action
+            with pytest.raises(CertificateError, match="permutation"):
+                _verify_closed(P, (), bad)
+            _verify_closed(P, (), good)
+        assert PermutationAssignment(3, P.alphabet, ((1, 1, 0),)).is_action is False
 
     def test_relator_trace_checked_on_a_transitive_action(self):
         # a transitive 3-cycle that x^2 does not close
