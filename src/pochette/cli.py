@@ -9,6 +9,8 @@ inconclusive verdicts still exit 0.
 Each report subcommand declares its flags once, in ``_build_parser``.
 ``_run_report`` resolves them and echoes each but ``--jobs`` at its
 resolved value in the report's ``command``, with ``--format`` last.
+wall_ms times the subcommand's own work: from after the source and its
+words are loaded to the finished report body.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import cache, partial
+from math import gcd
 from pathlib import Path
 
 from .abelian import abelian_invariants
@@ -71,25 +74,8 @@ def _render_text(value: dict | list, indent: int = 0) -> list[str]:
             lines.append(f"{pad}{label}")
             lines.extend(_render_text(item, indent + 1))
         else:
-            lines.append(f"{pad}{label} {_scalar(item)}")
+            lines.append(f"{pad}{label} {item if isinstance(item, str) else json.dumps(item)}")
     return lines
-
-
-def _scalar(item) -> str:
-    if item is None:
-        return "null"
-    if isinstance(item, bool):
-        return "true" if item else "false"
-    if isinstance(item, (dict, list)):
-        return "{}" if isinstance(item, dict) else "[]"
-    return str(item)
-
-
-def _emit(report: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(_render_text(report)))
 
 
 def _parse_slope(text: str, framing: int) -> SlopeSpec:
@@ -101,8 +87,8 @@ def _parse_slope(text: str, framing: int) -> SlopeSpec:
 
 def _read(path: str, kind: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
@@ -145,10 +131,10 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
 
     An absent meridian or longitude takes the source's default, and each
     budget flag its Budgets value; both go back into ``args``.
-    ``handler(args, P, budgets, timed, **words)`` gets the parsed words
-    and returns the rest of the body.  It passes its main computation
-    through ``timed``, whose duration becomes ``wall_ms``, and stores a
-    flag it normalizes back into ``args`` for the echo.
+    ``handler(args, P, budgets, **words)`` gets the parsed words, stores a
+    flag it normalizes back into ``args`` for the echo, and returns the
+    rest of the body.  ``wall_ms`` times that call: the subcommand's own
+    work, from after the source and words are loaded to the finished body.
     """
     P, *defaults = _load_source(args.source)
     values = vars(args)
@@ -163,16 +149,9 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
     budget_flags = {f.name: values[f.name] for f in fields(Budgets) if f.name in values}
     budgets = Budgets.with_overrides(**budget_flags)
     values.update((name, getattr(budgets, name)) for name in budget_flags)
-    wall_s = 0.0
-
-    def timed(fn, *fn_args):
-        nonlocal wall_s
-        start = time.perf_counter()
-        result = fn(*fn_args)
-        wall_s = time.perf_counter() - start
-        return result
-
-    body = handler(args, P, budgets, timed, **words)
+    start = time.perf_counter()
+    body = handler(args, P, budgets, **words)
+    wall_s = time.perf_counter() - start
     # a value follows '=' so that one starting with a dash (a negative range
     # or slope) survives when the command is pasted back; --jobs cannot
     # change the report
@@ -189,21 +168,16 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
         **body,
         "wall_ms": round(wall_s * 1000, 1),
     }
-    _emit(report, args.format)
+    print(
+        json.dumps(report, indent=2) if args.format == "json" else "\n".join(_render_text(report))
+    )
     return 0
 
 
-def _invariants_with_pi1(data, slope, budgets):
-    """surgery_invariants with pi1 built, so that wall_ms covers the group it reports."""
-    inv = surgery_invariants(data, slope, budgets)
-    inv.pi1
-    return inv
-
-
-def _surger(args, P, budgets, timed, meridian, longitude):
+def _surger(args, P, budgets, meridian, longitude):
     args.slope = slope = _parse_slope(args.slope, args.framing)  # echoed as p/q with p >= 0
     data = PochetteEmbeddingData(P, meridian, longitude)
-    inv = timed(_invariants_with_pi1, data, slope, budgets)
+    inv = surgery_invariants(data, slope, budgets)
     return {
         "slope": {"p": slope.p, "q": slope.q, "epsilon": slope.epsilon},
         "linking": inv.linking,
@@ -222,17 +196,13 @@ def _surger(args, P, budgets, timed, meridian, longitude):
 
 
 def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tuple[int, int]]:
-    """Normalized coprime slopes inside the grid, in canonical order."""
-    out = set()
-    for p in range(p_range[0], p_range[1] + 1):
-        for q in range(q_range[0], q_range[1] + 1):
-            try:
-                slope = SlopeSpec(p, q)
-            except InputError:
-                continue
-            if p_range[0] <= slope.p <= p_range[1] and q_range[0] <= slope.q <= q_range[1]:
-                out.add((slope.p, slope.q))
-    return sorted(out)
+    """Slopes whose normal form is in the grid: its points that are coprime with p > 0, or 0/1."""
+    return [
+        (p, q)
+        for p in range(max(p_range[0], 0), p_range[1] + 1)
+        for q in range(q_range[0], q_range[1] + 1)
+        if gcd(p, q) == 1 and (p > 0 or q == 1)
+    ]
 
 
 def _sweep_worker(job: tuple) -> dict:
@@ -271,24 +241,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sweep(args, P, budgets, timed, meridian, longitude):
+def _sweep(args, P, budgets, meridian, longitude):
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     data = PochetteEmbeddingData(P, meridian, longitude)
     slopes = _sweep_slopes(_parse_range(args.p_range), _parse_range(args.q_range))
     jobs = [(data, p, q, args.framing, budgets) for p, q in slopes]
-    rows = timed(_sweep_rows, jobs, args.jobs)
     return {
-        "rows": rows,
+        "rows": _sweep_rows(jobs, args.jobs),
         "epsilon_note": EPSILON_NOTE,
     }
 
 
-def _enumerate(args, P, budgets, timed):
+def _enumerate(args, P, budgets):
     subgroup = [
         parse_word(piece, P.alphabet) for piece in args.subgroup.split(";") if piece.strip()
     ]
-    result = timed(enumerate_cosets, P, subgroup, budgets.max_cosets)
+    result = enumerate_cosets(P, subgroup, budgets.max_cosets)
     return {
         "subgroup": [word_to_text(w) for w in subgroup],
         "outcome": "Overflow" if result.index is None else "Completed",
@@ -296,8 +265,8 @@ def _enumerate(args, P, budgets, timed):
     }
 
 
-def _abelianize(args, P, budgets, timed):
-    inv = timed(abelian_invariants, P)
+def _abelianize(args, P, budgets):
+    inv = abelian_invariants(P)
     return {
         "invariants": str(inv),
         "free_rank": inv.free_rank,
@@ -305,8 +274,8 @@ def _abelianize(args, P, budgets, timed):
     }
 
 
-def _simplify(args, P, budgets, timed):
-    result = timed(tietze_simplify, P, budgets.tietze_steps)
+def _simplify(args, P, budgets):
+    result = tietze_simplify(P, budgets.tietze_steps)
     return {
         "before": _presentation_fields(P),
         "after": _presentation_fields(result.presentation),
@@ -315,9 +284,9 @@ def _simplify(args, P, budgets, timed):
     }
 
 
-def _cordcheck(args, P, budgets, timed, meridian):
+def _cordcheck(args, P, budgets, meridian):
     cord = parse_word(args.cord, P.alphabet)
-    verdict = timed(cord_triviality, P, meridian, cord, budgets)
+    verdict = cord_triviality(P, meridian, cord, budgets)
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -351,6 +320,8 @@ def _cmd_cword(args) -> int:
 def _cmd_gen_fusion(args) -> int:
     if args.n < 1:
         raise InputError("--n must be at least 1")
+    if args.max_word_len < 0:
+        raise InputError("--max-word-len must be at least 0")
     rng = random.Random(args.seed)
     print(format_fusion(random_fusion_data(rng, args.n, args.max_word_len)))
     return 0

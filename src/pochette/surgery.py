@@ -254,11 +254,11 @@ def surgery_invariants(
     pi1: FinitePresentation | None = None
     enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
-        obstruction = homology[1] if not homology[1].is_trivial() else homology[2]
+        # H1 is Z or Z/|n| with |n| >= 2, never trivial: it is the obstruction
         verdict = Verdict(
             "NotHomotopySphere",
             n,
-            detail=f"H1 = {homology[1]}, H2 = {homology[2]} (obstruction {obstruction})",
+            detail=f"H1 = {homology[1]}, H2 = {homology[2]} (obstruction {homology[1]})",
         )
     else:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in

@@ -14,7 +14,8 @@ earlier Tietze program, matched move for move), ``substitute_oracle``
 (one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
 verdict from regular coset enumeration alone),
 ``cord_kind_membership_first_oracle`` (the cord verdict kind with
-membership run before the quotient search),
+membership run before the quotient search), ``sweep_slopes_oracle``
+(the sweep grid's slopes, normalized one ``SlopeSpec`` at a time),
 ``find_noncyclic_quotient_oracle`` (the quotient search that composed
 whole permutations of ``Word``s at every node, matched on whether a
 witness exists and its degree), ``assignment_satisfies_oracle`` (the
@@ -30,7 +31,7 @@ from math import gcd, lcm
 
 from pochette.abelian import hom_to_Z
 from pochette.coset_enum import certify_trivial, subgroup_membership
-from pochette.errors import CertificateError
+from pochette.errors import CertificateError, InputError
 from pochette.presentations import (
     FinitePresentation,
     PermutationAssignment,
@@ -39,7 +40,7 @@ from pochette.presentations import (
 )
 from pochette.quotient_search import image_is_cyclic
 from pochette.ribbon import _as_meridian_power
-from pochette.surgery import Verdict, linking_number, surgery_pi1
+from pochette.surgery import SlopeSpec, Verdict, linking_number, surgery_pi1
 from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
 
 
@@ -328,6 +329,26 @@ def substitute_oracle(w: Word, images) -> Word:
         image = images[gen] if sign == 1 else invert(images[gen])
         letters.extend(image.letters)
     return Word(tuple(letters))
+
+
+def sweep_slopes_oracle(
+    p_range: tuple[int, int], q_range: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The sweep grid's slopes, found by normalizing every grid point.
+
+    A point is kept when its ``SlopeSpec`` normal form lies in the grid;
+    duplicates go, and the rest are sorted.
+    """
+    out = set()
+    for p in range(p_range[0], p_range[1] + 1):
+        for q in range(q_range[0], q_range[1] + 1):
+            try:
+                slope = SlopeSpec(p, q)
+            except InputError:
+                continue
+            if p_range[0] <= slope.p <= p_range[1] and q_range[0] <= slope.q <= q_range[1]:
+                out.add((slope.p, slope.q))
+    return sorted(out)
 
 
 def s4_verdict_regular_oracle(data, slope, budgets):

@@ -6,12 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from pochette import cli
-from pochette.cli import _render_text, main
+from pochette.cli import _render_text, _sweep_slopes, main
 
 
 Z6 = str(Path(__file__).parent / "corpus" / "z6.txt")
+# (lo, hi) with lo <= hi; crossing zero, so negative p, p = 0 and q = 0 all occur
+RANGES = st.tuples(st.integers(-7, 7), st.integers(0, 9)).map(lambda t: (t[0], t[0] + t[1]))
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +35,18 @@ def strip_volatile(report):
     report.pop("wall_ms", None)
     report.pop("command", None)
     return report
+
+
+class TestRenderText:
+    def test_scalars_print_as_json_and_strings_raw(self):
+        report = {
+            "none": None, "yes": True, "no": False, "neg": -3, "zero": 0,
+            "float": 2.5, "whole_float": 12.0, "dict": {}, "list": [], "text": "null",
+        }
+        assert _render_text(report) == [
+            "none: null", "yes: true", "no: false", "neg: -3", "zero: 0",
+            "float: 2.5", "whole_float: 12.0", "dict: {}", "list: []", "text: null",
+        ]
 
 
 class TestCword:
@@ -242,6 +258,12 @@ class TestSweep:
         )
         assert code == 2 and "range" in err
 
+    @given(RANGES, RANGES)
+    @example((-1, 1), (-1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_slopes_match_normalizing_every_point(self, p_range, q_range):
+        assert _sweep_slopes(p_range, q_range) == oracles.sweep_slopes_oracle(p_range, q_range)
+
 
 class TestEnumerate:
     def test_cyclic_five(self, capsys, tmp_path):
@@ -319,6 +341,13 @@ class TestCordcheck:
 
 
 class TestGenFusion:
+    def test_zero_max_word_len_gives_empty_bands(self, capsys):
+        from pochette.ribbon import parse_fusion_file
+
+        code, out, _ = run_cli(capsys, "gen-fusion", "--n", "2", "--max-word-len", "0")
+        assert code == 0
+        assert all(len(band[0]) == 0 for band in parse_fusion_file(out).bands)
+
     def test_deterministic_and_parseable(self, capsys):
         from pochette.ribbon import parse_fusion_file
 
@@ -460,10 +489,25 @@ def _unreadable(kind, path):
          "one-fusion preset must look like one-fusion:<word>:<sign>"),
         (("abelianize", "missing.txt"), _unreadable("presentation", "missing.txt")),
         (("abelianize", "fusion:missing.fus"), _unreadable("fusion", "missing.fus")),
+        (("gen-fusion", "--n=2", "--max-word-len=-1"), "--max-word-len must be at least 0"),
     ],
 )
 def test_single_fault_keeps_its_error(capsys, monkeypatch, tmp_path, argv, message):
     """One fault per call: exit 2, nothing on stdout, and exactly that fault's error."""
     monkeypatch.chdir(tmp_path)  # the missing files are missing here
     code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "source, kind", [("bad.txt", "presentation"), ("fusion:bad.txt", "fusion")]
+)
+def test_source_not_utf8_is_input_error(capsys, monkeypatch, tmp_path, source, kind):
+    monkeypatch.chdir(tmp_path)
+    content = b"gens: x\nrels: x\xff\n"
+    Path("bad.txt").write_bytes(content)
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        content.decode("utf-8")
+    code, out, err = run_cli(capsys, "abelianize", source)
+    message = f"cannot read {kind} file 'bad.txt': {decoding.value}"
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -256,6 +256,7 @@ class TestDetectS4:
         assert inv.p_plus_q_ell == 0
         assert inv.verdict.kind == "NotHomotopySphere"
         assert inv.homology[2] == AbelianInvariants(2, ())
+        assert inv.verdict.detail == "H1 = Z, H2 = Z^2 (obstruction Z)"
 
     def test_torsion_not_homotopy_sphere(self):
         P = spun_trefoil()
@@ -263,6 +264,7 @@ class TestDetectS4:
         inv = surgery_invariants(data, SlopeSpec(3, 1))
         assert inv.verdict.kind == "NotHomotopySphere"
         assert inv.homology[1] == AbelianInvariants(0, (3,))
+        assert inv.verdict.detail == "H1 = Z/3, H2 = Z/3 (obstruction Z/3)"
 
     def test_unknown_on_tiny_budget(self):
         # <x> needs 3 cosets at slope 1/2, so at 2 both enumerations overflow
