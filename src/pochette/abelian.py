@@ -7,18 +7,21 @@ around.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import gcd
+from heapq import heapify, heappop, heappush
+from itertools import product
+from math import gcd, inf
 
 from .errors import CertificateError
-from .presentations import FinitePresentation
+from .presentations import FinitePresentation, PermutationAssignment
 from .words import Generator, Word
 
 __all__ = [
     "AbelianInvariants",
     "smith_normal_form",
     "abelian_invariants",
+    "stabilizer_invariants",
     "hom_to_Z",
     "word_image",
     "relator_matrix",
@@ -188,10 +191,9 @@ def relator_matrix(P: FinitePresentation) -> list[list[int]]:
     return rows
 
 
-def _abelianize(P: FinitePresentation) -> tuple[AbelianInvariants, list[list[int]]]:
-    """Invariants of the cokernel of the relator matrix, and the column transform V."""
-    ncols = len(P.alphabet)
-    S, _, V = smith_normal_form(relator_matrix(P), ncols)
+def _cokernel(rows: list[list[int]], ncols: int) -> tuple[AbelianInvariants, list[list[int]]]:
+    """Invariants of Z^ncols modulo the rows, and the column transform V."""
+    S, _, V = smith_normal_form(rows, ncols)
     diag = [S[i][i] for i in range(min(len(S), ncols))]
     rank = sum(1 for d in diag if d != 0)
     return AbelianInvariants(ncols - rank, tuple(d for d in diag if d > 1)), V
@@ -199,7 +201,78 @@ def _abelianize(P: FinitePresentation) -> tuple[AbelianInvariants, list[list[int
 
 def abelian_invariants(P: FinitePresentation) -> AbelianInvariants:
     """Invariants of the cokernel of the relator matrix."""
-    return _abelianize(P)[0]
+    return _cokernel(relator_matrix(P), len(P.alphabet))[0]
+
+
+def stabilizer_invariants(
+    P: FinitePresentation, action: PermutationAssignment, max_work: float = inf
+) -> AbelianInvariants | None:
+    """H1 of the stabilizer of point 0 in a transitive action of P; None past max_work.
+
+    Abelianized Reidemeister-Schreier (Holt, Eick, O'Brien, "Handbook of
+    Computational Group Theory", 2.5): a generator per entry (point, g) off
+    ``action.spanning_tree``, a relation per relator read from each point, so
+    on one point the relator matrix.  Pivots of +-1 go first, from the shortest
+    row with one, in its column of fewest rows; work counts the entries they
+    rewrite, and the cells the Smith form of the rest scans.
+    """
+    k, columns, n = len(action.images), action.columns, action.degree
+    tree = {c * k + g for c, g in action.spanning_tree}
+    # letter lt read at point x has key x * 2k + lt: step[key] is the first key of the
+    # point it reaches, crossed[key] the entry it crosses, (x, g) or (x g^-1, g)
+    step = [columns[lt][x] * 2 * k for x in range(n) for lt in range(2 * k)]
+    crossed = [
+        (columns[lt][x] if lt & 1 else x) * k + lt // 2 for x in range(n) for lt in range(2 * k)
+    ]
+    rows, where = [], defaultdict(set)  # the rows each entry is in
+    for code, start in product(P.relator_codes, range(n)):
+        read = code  # on one point each letter is its own key
+        if n > 1:
+            read, x = [], 2 * k * start
+            for lt in code:
+                read.append(x + lt)
+                x = step[x + lt]
+        row: dict[int, int] = {}
+        for key, times in Counter(read).items():
+            if (entry := crossed[key]) not in tree:
+                row[entry] = row.get(entry, 0) + (-times if key & 1 else times)
+        rows.append({entry: v for entry, v in row.items() if v})
+        for entry in rows[-1]:
+            where[entry].add(len(rows) - 1)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    work = eliminated = 0
+    while heap and work <= max_work:
+        length, i = heappop(heap)
+        row = rows[i]
+        units = [entry for entry, v in row.items() if v in (1, -1)] if len(row) == length else ()
+        if not units:
+            continue  # none, or the row was rewritten since it was pushed
+        pivot = min(units, key=lambda entry: len(where[entry]))
+        rows[i] = {}
+        for entry in row:
+            where[entry].discard(i)
+        for t in where.pop(pivot):
+            other = rows[t]
+            factor = other[pivot] * row[pivot]
+            for entry, v in row.items():  # clears the pivot's entry
+                other[entry] = other.get(entry, 0) - factor * v
+                if other[entry]:
+                    where[entry].add(t)
+                else:
+                    del other[entry]
+                    where[entry].discard(t)
+            work += len(row)
+            heappush(heap, (len(other), t))
+        eliminated += 1
+    left = [row for row in rows if row]
+    used = dict.fromkeys(entry for row in left for entry in row)
+    work += len(left) * len(used) * min(len(left), len(used))
+    if work > max_work:
+        return None
+    invariants, _ = _cokernel([[row.get(entry, 0) for entry in used] for row in left], len(used))
+    unused = n * k - len(tree) - eliminated - len(used)  # generators in no relation left
+    return AbelianInvariants(invariants.free_rank + unused, invariants.torsion)
 
 
 def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
@@ -209,7 +282,7 @@ def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
     normalized so the first generator with nonzero image maps to a
     positive integer.
     """
-    invariants, V = _abelianize(P)
+    invariants, V = _cokernel(relator_matrix(P), len(P.alphabet))
     if invariants != AbelianInvariants(1, ()):
         return None
     free_col = len(P.alphabet) - 1  # the single zero column of S comes last

@@ -220,11 +220,13 @@ def _sweep_worker(job: tuple) -> dict:
 
 
 def _sweep_rows(jobs: list[tuple], workers: int) -> list[dict]:
-    # the fork start method starts every worker at the first submit
+    # fork starts every worker at once, forkserver (Python 3.14's default on
+    # Linux) as work arrives; each worker then gets about four chunks of slopes
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_worker, jobs))
+            chunksize = -(-len(jobs) // (4 * workers))
+            return list(pool.map(_sweep_worker, jobs, chunksize=chunksize))
     return [_sweep_worker(job) for job in jobs]
 
 

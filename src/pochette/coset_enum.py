@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import compress, count, repeat
+from math import inf
 from operator import eq
 
-from .abelian import abelian_invariants
+from .abelian import AbelianInvariants, stabilizer_invariants
 from .budgets import Budgets
 from .errors import CertificateError
 from .presentations import FinitePresentation, PermutationAssignment, assignment_satisfies
-from .words import Word
+from .words import IDENTITY, Word
 
 __all__ = [
     "EnumerationVerdict",
@@ -51,7 +52,7 @@ class EnumerationVerdict:
     enumeration hit max_cosets; index and table are then None.
     Otherwise table is the closed table that certified the index: the
     action of the generators on the cosets, coset 0 the subgroup.
-    subgroup holds the words whose subgroup's cosets were enumerated.
+    certify_trivial also gives stabilizer, H1 of that subgroup.
     """
 
     kind: str
@@ -59,13 +60,13 @@ class EnumerationVerdict:
     cosets_defined: int
     collapses: int
     max_cosets: int
-    subgroup: tuple[Word, ...] = ()
     table: PermutationAssignment | None = field(default=None, compare=False, repr=False)
+    stabilizer: AbelianInvariants | None = None
 
 
 def _hlt(
     nletters: int,
-    relators: list[tuple[int, ...]],
+    relators: tuple[tuple[int, ...], ...],
     subgroup: list[tuple[int, ...]],
     max_cosets: int,
 ) -> tuple[tuple[int, tuple[tuple[int, ...], ...]] | None, int, int]:
@@ -238,17 +239,16 @@ def enumerate_cosets(
     """
     if max_cosets <= 0:
         raise ValueError("max_cosets must be positive")
-    relators = [P.encode(r) for r in P.relators]
     subgroup_words = [P.encode(w) for w in subgroup]
-
-    closed, defined, collapses = _hlt(2 * len(P.alphabet), relators, subgroup_words, max_cosets)
-    stats = (defined, collapses, max_cosets, tuple(subgroup))
+    closed, defined, collapses = _hlt(
+        2 * len(P.alphabet), P.relator_codes, subgroup_words, max_cosets
+    )
     if closed is None:
-        return EnumerationVerdict("Unknown", None, *stats)
+        return EnumerationVerdict("Unknown", None, defined, collapses, max_cosets)
     degree, columns = closed
     table = PermutationAssignment(degree, P.alphabet, columns[::2])
     _verify_closed(P, subgroup, table)
-    return EnumerationVerdict("Completed", degree, *stats, table)
+    return EnumerationVerdict("Completed", degree, defined, collapses, max_cosets, table)
 
 
 def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignment):
@@ -259,22 +259,12 @@ def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignmen
     with every relator fixing every coset, prove [G : H] >= the table's
     size.  Every subgroup word must then fix coset 0.
     """
-    n = action.degree
-    if n == 0:
+    if action.degree == 0:
         raise CertificateError("coset table has no cosets")
     if not action.is_action:
         raise CertificateError("coset table column is not a permutation")
-    # the images are permutations, so they reach the orbit of coset 0
-    reached = [True] + [False] * (n - 1)
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        for image in action.images:
-            d = image[c]
-            if not reached[d]:
-                reached[d] = True
-                stack.append(d)
-    if not all(reached):
+    # the images are permutations, so their walk reaches the orbit of coset 0
+    if len(action.spanning_tree) != action.degree - 1:
         raise CertificateError("coset not reachable from coset 0")
     if not assignment_satisfies(P, action):
         raise CertificateError("relator trace failed to close")
@@ -287,22 +277,24 @@ def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignmen
 
 
 def certify_trivial(
-    P: FinitePresentation, max_cosets: int = Budgets.max_cosets, cyclic: Word | None = None
+    P: FinitePresentation, max_cosets: int = Budgets.max_cosets, cyclic: Word = IDENTITY
 ) -> EnumerationVerdict:
-    """Trivial iff enumeration over the empty subgroup completes with index 1.
+    """Whether G is trivial, from one enumeration: of the cosets of <cyclic>.
 
-    Given ``cyclic`` = g, <g> is enumerated first: index 1 makes G = <g> cyclic,
-    so G = H1(G), and a trivial H1 certifies G trivial with that run.  Any other
-    outcome falls back to the trivial subgroup, whose index is also the order of G.
+    A cyclic group is its own H1, so |G| = index * |H1 of the stabilizer
+    of coset 0| (``stabilizer_invariants``); "Trivial" iff that is 1, and
+    an overflow is "Unknown".  The default, the identity, enumerates the
+    trivial subgroup.  Above index 1, where G is not trivial anyway, the
+    elimination may rewrite as many entries as a full table of max_cosets
+    cosets holds, and past that stabilizer is None.
     """
-    if cyclic is not None:
-        result = enumerate_cosets(P, (cyclic,), max_cosets)
-        if result.index == 1 and abelian_invariants(P).is_trivial():
-            return replace(result, kind="Trivial")
-    result = enumerate_cosets(P, (), max_cosets)
+    result = enumerate_cosets(P, (cyclic,), max_cosets)
     if result.kind == "Unknown":
         return result
-    return replace(result, kind="Trivial" if result.index == 1 else "NonTrivial")
+    bound = max_cosets * len(P.alphabet) if result.index > 1 else inf
+    stabilizer = stabilizer_invariants(P, result.table, bound)
+    trivial = result.index == 1 and stabilizer.is_trivial()
+    return replace(result, kind="Trivial" if trivial else "NonTrivial", stabilizer=stabilizer)
 
 
 def subgroup_membership(

@@ -137,6 +137,10 @@ class FinitePresentation:
         code = self._letter_code
         return tuple(code[g] + (s == -1) for g, s in word.letters)
 
+    @cached_property
+    def relator_codes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.encode, self.relators))
+
     def total_relator_length(self) -> int:
         return sum(len(r) for r in self.relators)
 
@@ -180,6 +184,18 @@ class PermutationAssignment:
             out += (p, tuple(inverse))
         return tuple(out)
 
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, int], ...]:
+        """Per point reached from 0 breadth first, the (point, generator index) that reaches it."""
+        reached, walk, tree = {0}, [0], []
+        for c in walk:
+            for g, image in enumerate(self.images):
+                if image[c] not in reached:
+                    reached.add(image[c])
+                    walk.append(image[c])
+                    tree.append((c, g))
+        return tuple(tree)
+
 
 def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> bool:
     """True iff a is an action of P's generators in which every relator fixes every point."""
@@ -191,9 +207,9 @@ def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> boo
         return True
     identity = tuple(range(a.degree))
     columns = a.columns
-    for rel in P.relators:
+    for code in P.relator_codes:
         image = identity
-        for lt in P.encode(rel):
+        for lt in code:
             image = itemgetter(*image)(columns[lt])
         if image != identity:
             return False

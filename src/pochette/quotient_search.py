@@ -87,7 +87,7 @@ def image_is_cyclic(a: PermutationAssignment) -> bool:
 
 
 def _transitive_actions(
-    nletters: int, relators: list[tuple[int, ...]], degree: int
+    nletters: int, relators: tuple[tuple[int, ...], ...], degree: int
 ) -> Iterator[tuple[Perm, ...]]:
     """The generator images of every transitive action on exactly ``degree`` points.
 
@@ -146,7 +146,7 @@ def _transitive_actions(
 
 
 def _noncyclic_images(
-    gens: tuple[Generator, ...], relators: list[tuple[int, ...]], max_degree: int
+    gens: tuple[Generator, ...], relators: tuple[tuple[int, ...], ...], max_degree: int
 ) -> Iterator[PermutationAssignment]:
     """At each degree from 2 up: transitive actions, then unions of two cyclic ones."""
     cyclic: list[PermutationAssignment] = []
@@ -176,8 +176,7 @@ def find_noncyclic_quotient(
     """
     if not P.alphabet:
         return None
-    relators = [P.encode(rel) for rel in P.relators]
-    found = next(_noncyclic_images(P.alphabet, relators, max_degree), None)
+    found = next(_noncyclic_images(P.alphabet, P.relator_codes, max_degree), None)
     if found is not None and not assignment_satisfies(P, found):
         raise CertificateError("quotient witness violates a relator")
     return found

@@ -8,7 +8,7 @@ number, the homology table, and a 4-sphere verdict.
 The homology and the NotHomotopySphere verdict depend only on
 |p + q*linking|, so the surgered group is built on demand: at once on a
 homology 4-sphere, where the verdict comes from coset enumeration, of
-the meridian subgroup first (see coset_enum.certify_trivial), and
+the meridian subgroup <m> alone (see coset_enum.certify_trivial), and
 otherwise on the first read of SurgeryInvariants.pi1.
 
 The positive verdict is a homeomorphism statement: simple connectivity
@@ -204,11 +204,12 @@ class Verdict:
     kind is one of:
       NotHomotopySphere - |p + q*linking| != 1, homology obstructs
       HomeoS4Certified  - homology trivial and pi1 certified trivial
-      NontrivialPi1     - coset enumeration completed with index > 1
+      NontrivialPi1     - homology trivial but <m> has index > 1
       Unknown           - homology trivial but enumeration overflowed
 
-    certificate is "meridian-index-1" (<m> has index 1) or "regular" (the
-    trivial subgroup's run decided), and None for the other two kinds.
+    certificate is "meridian-index-1" or "meridian-index-above-1" for
+    those two kinds and None otherwise.  pi1_index is the order of pi1;
+    detail says whether a None means infinite or not computed.
     """
 
     kind: str
@@ -265,22 +266,31 @@ def surgery_invariants(
         # about 4p cosets, where the trivial subgroup needs about 2p^2.
         pi1 = surgery_pi1(data, slope)
         enumeration = certify_trivial(pi1, budgets.max_cosets, cyclic=data.meridian)
-        certificate = "meridian-index-1" if enumeration.subgroup else "regular"
         if enumeration.kind == "Trivial":
             verdict = Verdict(
                 "HomeoS4Certified",
                 n,
                 pi1_index=1,
                 detail="trivial homology and trivial fundamental group",
-                certificate=certificate,
+                certificate="meridian-index-1",
             )
         elif enumeration.kind == "NonTrivial":
+            # H1 = 0, so <m> has index above 1; pi1's order is read off its table
+            index, stabilizer, order = enumeration.index, enumeration.stabilizer, None
+            if stabilizer is None:
+                detail = (
+                    f"<m> has index {index}; the order of the fundamental group was not computed"
+                )
+            elif stabilizer.free_rank:
+                detail = (
+                    f"fundamental group is infinite: the stabilizer of <m>'s coset has "
+                    f"H1 = {stabilizer}"
+                )
+            else:
+                order = index * stabilizer.order()
+                detail = f"fundamental group has order {order}"
             verdict = Verdict(
-                "NontrivialPi1",
-                n,
-                pi1_index=enumeration.index,
-                detail=f"fundamental group has order {enumeration.index}",
-                certificate=certificate,
+                "NontrivialPi1", n, order, detail, certificate="meridian-index-above-1"
             )
         else:
             verdict = Verdict(

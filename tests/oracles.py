@@ -3,9 +3,11 @@
 Everything here is deliberately naive and shares no code with the
 package: a straightforward elementary-operation diagonalization for
 invariant factors (no transform tracking, first-nonzero pivoting), a
-gcd-of-minors calculation as a second opinion, exact determinants, and
-brute-force permutation-group closure for group orders, and all-rotations
-relator keys over plain ``(name, sign)`` letter sequences.
+gcd-of-minors calculation as a second opinion, exact determinants,
+brute-force permutation-group closure for group orders, all-rotations
+relator keys over plain ``(name, sign)`` letter sequences, and a dense
+Reidemeister-Schreier matrix, from a depth-first transversal, for the
+invariants of a point stabilizer.
 
 The exceptions are earlier versions of package code, kept as the
 references the current code must match, so they build the package's
@@ -30,7 +32,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 from pochette.abelian import hom_to_Z
-from pochette.coset_enum import certify_trivial, subgroup_membership
+from pochette.coset_enum import enumerate_cosets, subgroup_membership
 from pochette.errors import CertificateError, InputError
 from pochette.presentations import (
     FinitePresentation,
@@ -355,15 +357,55 @@ def s4_verdict_regular_oracle(data, slope, budgets):
     """The S4 verdict of a slope with |p + q*linking| = 1, by regular enumeration alone.
 
     The verdict branch as it was before the meridian subgroup was tried
-    first: pi1 is enumerated over the trivial subgroup only.
+    first: pi1 is enumerated over the trivial subgroup only, and the
+    index of that subgroup is the order of pi1.
     """
     n = slope.p + slope.q * linking_number(data)
-    enumeration = certify_trivial(surgery_pi1(data, slope), budgets.max_cosets)
-    if enumeration.kind == "Trivial":
+    enumeration = enumerate_cosets(surgery_pi1(data, slope), (), budgets.max_cosets)
+    if enumeration.kind == "Unknown":
+        return Verdict("Unknown", n)
+    if enumeration.index == 1:
         return Verdict("HomeoS4Certified", n, pi1_index=1)
-    if enumeration.kind == "NonTrivial":
-        return Verdict("NontrivialPi1", n, pi1_index=enumeration.index)
-    return Verdict("Unknown", n)
+    return Verdict("NontrivialPi1", n, pi1_index=enumeration.index)
+
+
+def stabilizer_invariants_oracle(P: FinitePresentation, a: PermutationAssignment):
+    """(free rank, torsion) of H1 of the stabilizer of point 0 in a transitive action.
+
+    The transversal is a depth-first search that steps along generators
+    and their inverses; each (point, generator) off its tree is a column,
+    and each relator read letter by letter from each point is a dense row.
+    """
+    tree: set[tuple[int, int]] = set()
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g, image in enumerate(a.images):
+            for y, edge in ((image[x], (x, g)), (image.index(x), (image.index(x), g))):
+                if y not in seen:
+                    seen.add(y)
+                    tree.add(edge)
+                    stack.append(y)
+    cols = [(x, g) for x in range(a.degree) for g in range(len(a.images)) if (x, g) not in tree]
+    index = {edge: j for j, edge in enumerate(cols)}
+    rows = []
+    for rel in P.relators:
+        for start in range(a.degree):
+            row = [0] * len(cols)
+            x = start
+            for gen, sign in rel.letters:
+                g = P.alphabet.index(gen)
+                image = a.images[g]
+                if sign == -1:
+                    x = image.index(x)
+                if (x, g) in index:
+                    row[index[x, g]] += sign
+                if sign == 1:
+                    x = image[x]
+            rows.append(row)
+    diag = snf_diagonal_oracle(rows) if rows and cols else []
+    return len(cols) - sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
 def _word_perm(word: Word, images: dict[Generator, tuple[int, ...]], degree: int):

@@ -11,14 +11,17 @@ from pochette.abelian import (
     hom_to_Z,
     relator_matrix,
     smith_normal_form,
+    stabilizer_invariants,
     word_image,
 )
-from pochette.presentations import FinitePresentation, parse_presentation
+from pochette.coset_enum import enumerate_cosets
+from pochette.presentations import FinitePresentation, PermutationAssignment, parse_presentation
 from pochette.words import Generator, Word, invert, parse_word
-from test_presentations import fusion_presentations, random_presentations
+from test_presentations import fusion_presentations, long_presentations, random_presentations
 
 X = Generator("x")
 Y = Generator("y")
+TRIVIAL_GROUP = AbelianInvariants(0, ())
 
 
 def diagonal(S, ncols):
@@ -215,3 +218,63 @@ class TestHomToZ:
             assert set(images) == set(P.alphabet)
             assert all(word_image(images, rel) == 0 for rel in P.relators)
             assert gcd(*images.values()) == 1
+
+
+def one_point(P):
+    return PermutationAssignment(1, P.alphabet, ((0,),) * len(P.alphabet))
+
+
+def triangle_presentations():
+    """<x, y | x^a, y^b, (x y)^c, w>: finite for most a, b, c, often with torsion."""
+    letters = st.tuples(st.sampled_from((X, Y)), st.sampled_from((1, -1)))
+    return st.builds(
+        lambda a, b, c, w: FinitePresentation(
+            (X, Y), (Word(((X, 1),)) ** a, Word(((Y, 1),)) ** b, Word(((X, 1), (Y, 1))) ** c, w)
+        ),
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.one_of(st.just(Word()), st.lists(letters, max_size=8).map(lambda ls: Word(tuple(ls)))),
+    )
+
+
+class TestStabilizerInvariants:
+    @given(st.one_of(random_presentations(), fusion_presentations()))
+    @settings(max_examples=200, deadline=None)
+    def test_one_point_is_the_relator_matrix(self, P):
+        assert stabilizer_invariants(P, one_point(P)) == abelian_invariants(P)
+
+    @given(st.one_of(long_presentations(), triangle_presentations()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_dense_oracle(self, P, data):
+        # the cosets of a random cyclic subgroup, when they close in 60
+        letters = st.tuples(st.sampled_from(P.alphabet), st.sampled_from([1, -1]))
+        subgroup = Word(tuple(data.draw(st.lists(letters, min_size=1, max_size=3))))
+        result = enumerate_cosets(P, (subgroup,), 60)
+        if result.kind == "Unknown":
+            return
+        invariants = stabilizer_invariants(P, result.table)
+        expected = oracles.stabilizer_invariants_oracle(P, result.table)
+        assert (invariants.free_rank, invariants.torsion) == expected
+
+    @pytest.mark.parametrize(
+        "text, subgroup, expected",
+        [
+            ("gens: a,b\nrels: a^2; b^2; a b a b a b", "", TRIVIAL_GROUP),
+            ("gens: a,b\nrels: a^2; b^2; a b a b a b", "a", AbelianInvariants.cyclic(2)),
+            ("gens: s, t\nrels: s^3 t^-5 ; t s t s^-2", "", TRIVIAL_GROUP),
+            ("gens: s, t\nrels: s^3 t^-5 ; t s t s^-2", "s^-1 t^2", AbelianInvariants.cyclic(10)),
+            ("gens: x\nrels:", "x^3", AbelianInvariants.free(1)),
+            ("gens: a, b\nrels: a^2; b^2", "a b", AbelianInvariants.free(1)),
+        ],
+    )
+    def test_known_stabilizers(self, text, subgroup, expected):
+        P = parse_presentation(text)
+        table = enumerate_cosets(P, (parse_word(subgroup, P.alphabet),), 1000).table
+        assert stabilizer_invariants(P, table) == expected
+
+    def test_work_bound(self):
+        P = parse_presentation("gens: s, t\nrels: s^3 t^-5 ; t s t s^-2")
+        table = enumerate_cosets(P, (parse_word("s^-1 t^2", P.alphabet),), 1000).table
+        assert stabilizer_invariants(P, table, max_work=0) is None
+        assert stabilizer_invariants(P, table, max_work=1000) == AbelianInvariants.cyclic(10)

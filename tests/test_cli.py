@@ -212,6 +212,29 @@ class TestSweep:
         )
         assert code == 2 and out == "" and err == "error: --jobs must be at least 1\n"
 
+    @staticmethod
+    def recording_pool(monkeypatch, cpus):
+        """A pool that records (max_workers, chunksize) and maps in-process."""
+        calls = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                calls.append((self.max_workers, chunksize))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        return calls
+
     @pytest.mark.parametrize(
         "jobs, cpus, p_range, pools",
         [
@@ -225,32 +248,23 @@ class TestSweep:
     def test_jobs_capped_before_the_pool_starts(
         self, capsys, monkeypatch, jobs, cpus, p_range, pools
     ):
-        created = []
-
-        class RecordingPool:
-            """Records max_workers and maps in-process; starts no process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        calls = self.recording_pool(monkeypatch, cpus)
         argv = (
             "sweep", "spun-trefoil", "--p-range", p_range, "--q-range", "1:1",
             "--max-cosets", "2000",
         )
         capped = strip_volatile(run_json(capsys, *argv, "--jobs", jobs))
-        assert created == pools
+        assert [workers for workers, _ in calls] == pools
         assert capped == strip_volatile(run_json(capsys, *argv, "--jobs", "1"))
+
+    @pytest.mark.parametrize("jobs, chunksize", [("2", 5), ("3", 4), ("40", 1)])
+    def test_slopes_go_to_workers_in_chunks(self, capsys, monkeypatch, jobs, chunksize):
+        # 40 slopes: about four chunks per worker, not one slope per round trip
+        calls = self.recording_pool(monkeypatch, 64)
+        argv = ("sweep", "spun-trefoil", "--p-range", "1:40", "--q-range", "1:1")
+        rows = strip_volatile(run_json(capsys, *argv, "--jobs", jobs))
+        assert calls == [(int(jobs), chunksize)]
+        assert rows == strip_volatile(run_json(capsys, *argv, "--jobs", "1"))
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(

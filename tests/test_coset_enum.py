@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from pochette.abelian import AbelianInvariants
 from pochette.coset_enum import (
     _hlt,
     _verify_closed,
@@ -234,21 +235,30 @@ class TestCertifyTrivial:
         assert certify_trivial(P, 5).kind == "Unknown"
         verdict = certify_trivial(P, 5, cyclic=parse_word("x", (X, Y)))
         assert verdict.kind == "Trivial" and verdict.index == 1
-        assert verdict.subgroup == (parse_word("x", (X, Y)),)
+        assert verdict.stabilizer == AbelianInvariants(0, ())
 
     def test_cyclic_index_1_needs_trivial_homology(self):
-        # <x> has index 1 in Z/5, which is cyclic but not trivial
+        # <x> has index 1 in Z/5, which is cyclic but not trivial: order 1 * 5
         P = parse_presentation("gens: x\nrels: x^5")
         verdict = certify_trivial(P, cyclic=parse_word("x", (X,)))
-        assert verdict.kind == "NonTrivial" and verdict.index == 5
-        assert verdict.subgroup == ()
+        assert verdict.kind == "NonTrivial" and verdict.index == 1
+        assert verdict.stabilizer == AbelianInvariants.cyclic(5)
 
-    def test_cyclic_index_above_1_falls_back(self):
+    def test_cyclic_index_above_1_reads_the_order_off_the_table(self):
+        # <a> = Z/2 has index 3 in S3: order 3 * 2, from the one <a> run
         P = parse_presentation(S3)
         a = P.alphabet[0]
         verdict = certify_trivial(P, cyclic=Word(((a, 1),)))
-        assert verdict.kind == "NonTrivial" and verdict.index == 6
-        assert verdict.subgroup == ()
+        assert verdict.kind == "NonTrivial" and verdict.index == 3
+        assert verdict.stabilizer == AbelianInvariants.cyclic(2)
+
+    def test_free_stabilizer_is_infinite(self):
+        # <x^2> has index 2 in Z, and H1 of it is Z: no finite order
+        P = parse_presentation("gens: x\nrels:")
+        verdict = certify_trivial(P, 100, cyclic=parse_word("x^2", (X,)))
+        assert verdict.kind == "NonTrivial" and verdict.index == 2
+        assert verdict.stabilizer == AbelianInvariants.free(1)
+        assert verdict.stabilizer.order() is None
 
 
 class TestSubgroupMembership:
@@ -349,14 +359,15 @@ class TestStructuralCertificates:
                 for _ in range(candidates.randint(0, 4))
             ))
             # certify_trivial and subgroup_membership report the same
-            # enumeration, relabelled
+            # enumeration, relabelled; certify_trivial adds the stabilizer
             membership = subgroup_membership(P, subgroup, candidate, 3000)
             verdicts = [membership]
             if not subgroup:
                 trivial = certify_trivial(P, 3000)
                 verdicts.append(trivial)
             for verdict in verdicts:
-                assert verdict == replace(first, kind=verdict.kind), (relators, subgroup)
+                same = replace(first, kind=verdict.kind, stabilizer=verdict.stabilizer)
+                assert verdict == same, (relators, subgroup)
             if first.kind == "Unknown":
                 assert first.index is None and first.table is None
                 assert all(v.kind == "Unknown" and v.table is None for v in verdicts)

@@ -30,7 +30,7 @@ CORPUS = Path(__file__).parent / "corpus"
 CASES = {
     "surger-not-sphere": ("surger", "spun-trefoil", "--slope=3/1"),
     "surger-certified": ("surger", "spun-trefoil", "--slope=40/41"),
-    # <x> needs 159 cosets at 40/41, so at 100 both enumerations overflow
+    # <x> needs 159 cosets at 40/41, so at 100 its enumeration overflows
     "surger-unknown": ("surger", "spun-trefoil", "--slope=40/41", "--max-cosets=100"),
     "surger-meridian-tight": (
         "surger", "spun-trefoil", "--slope=40/41", "--max-cosets=200",
@@ -38,6 +38,10 @@ CASES = {
     "surger-nontrivial-pi1": (
         "surger", "icosahedral.txt", "--meridian=s^-1*t^2",
         "--longitude=s*t*s*t*s^-3*t^-2*s", "--slope=1/1", "--max-cosets=5000",
+    ),
+    "surger-nontrivial-pi1-order-4896": (
+        "surger", "fusion287.txt", "--meridian=x3^-1",
+        "--longitude=x3*x4^-2*x3^-1*x2^-1", "--slope=7/-2",
     ),
     "sweep-spun-jobs1": (
         "sweep", "spun-trefoil", "--p-range=1:6", "--q-range=-3:8", "--jobs=1",

@@ -10,7 +10,7 @@ from pochette import surgery
 from pochette.abelian import AbelianInvariants, abelian_invariants
 from pochette.budgets import Budgets
 from pochette.cli import main
-from pochette.coset_enum import certify_trivial, enumerate_cosets
+from pochette.coset_enum import EnumerationVerdict, certify_trivial, enumerate_cosets
 from pochette.errors import InputError
 from pochette.presentations import (
     add_relator,
@@ -38,6 +38,10 @@ from pochette.words import Word, exponent_sum, parse_word, substitute, word_to_t
 
 Z = AbelianInvariants(1, ())
 TRIVIAL = AbelianInvariants(0, ())
+CERTIFICATES = {
+    "HomeoS4Certified": "meridian-index-1",
+    "NontrivialPi1": "meridian-index-above-1",
+}
 
 
 def normalized_coprime_slopes(p_max, q_max):
@@ -297,8 +301,10 @@ class TestDetectS4:
         inv = surgery_invariants(data, SlopeSpec(1, 1), Budgets(max_cosets=5000))
         assert inv.verdict.kind == "NontrivialPi1"
         assert inv.verdict.pi1_index == 120
-        assert inv.verdict.certificate == "regular"
-        assert inv.enumeration.index == 120
+        assert inv.verdict.certificate == "meridian-index-above-1"
+        # 120 = 12 * 10: <m> has index 12, and H1 of the stabilizer is Z/10
+        assert inv.enumeration.index == 12
+        assert inv.enumeration.stabilizer == AbelianInvariants.cyclic(10)
 
     def test_never_certified_without_unit_homology(self):
         rng = random.Random(11)
@@ -354,7 +360,7 @@ class TestPi1OnDemand:
 
 
 class TestMeridianCertificate:
-    """The <m>-first S4 branch against the regular-only branch it replaced."""
+    """The one-run <m> S4 branch against the regular-only branch it replaced."""
 
     @given(
         seed=st.integers(0, 999),
@@ -374,15 +380,50 @@ class TestMeridianCertificate:
         verdict = surgery_invariants(data, slope, budgets).verdict
         expected = oracles.s4_verdict_regular_oracle(data, slope, budgets)
         meridian = enumerate_cosets(surgery_pi1(data, slope), (data.meridian,), max_cosets)
-        assert (verdict.certificate == "meridian-index-1") == (meridian.index == 1)
-        if expected.kind == "Unknown":
-            # <m> may close where the regular run overflows
-            assert verdict.kind in ("Unknown", "HomeoS4Certified")
-            assert (verdict.kind == "Unknown") == (verdict.certificate is None)
-        else:
+        # the <m> run alone decides: an overflow is Unknown, index 1 is S4
+        assert (verdict.kind == "Unknown") == (meridian.kind == "Unknown")
+        assert (verdict.kind == "HomeoS4Certified") == (meridian.index == 1)
+        assert verdict.certificate == CERTIFICATES.get(verdict.kind)
+        if expected.kind != "Unknown":
             assert (verdict.kind, verdict.pi1_index) == (expected.kind, expected.pi1_index)
-            assert (meridian.index == 1) == (expected.kind == "HomeoS4Certified")
-            assert verdict.certificate in ("meridian-index-1", "regular")
+
+    @pytest.mark.parametrize(
+        "seed, p, q, index, stabilizer",
+        [(287, 7, -2, 544, 9), (287, 5, -2, 48, 7), (323, 1, 1, 12, 10)],
+    )
+    def test_order_read_off_the_meridian_table(self, seed, p, q, index, stabilizer):
+        # the regular run overflows the default budget on 287 at 7/-2
+        data = random_embedding(random.Random(seed))
+        inv = surgery_invariants(data, SlopeSpec(p, q))
+        assert inv.verdict.kind == "NontrivialPi1"
+        assert inv.verdict.pi1_index == index * stabilizer
+        assert inv.verdict.detail == f"fundamental group has order {index * stabilizer}"
+        assert inv.verdict.certificate == "meridian-index-above-1"
+        assert inv.enumeration.index == index
+        assert inv.enumeration.stabilizer == AbelianInvariants.cyclic(stabilizer)
+
+    def test_order_past_the_elimination_bound_is_not_computed(self):
+        # <m> closes at index 544 within 10,000 cosets, but the elimination
+        # needs more than the 40,000 rewrites that budget allows
+        data = random_embedding(random.Random(287))
+        inv = surgery_invariants(data, SlopeSpec(7, -2), Budgets(max_cosets=10_000))
+        assert (inv.verdict.kind, inv.verdict.pi1_index) == ("NontrivialPi1", None)
+        assert inv.verdict.detail == (
+            "<m> has index 544; the order of the fundamental group was not computed"
+        )
+        assert inv.verdict.certificate == "meridian-index-above-1"
+        assert (inv.enumeration.index, inv.enumeration.stabilizer) == (544, None)
+
+    def test_free_stabilizer_reads_infinite(self, monkeypatch):
+        # unreachable with H1 = 0 when the table is right (a virtually cyclic
+        # group with trivial H1 is finite), so the enumeration is stubbed
+        stub = EnumerationVerdict("NonTrivial", 2, 2, 0, 100, stabilizer=Z)
+        monkeypatch.setattr(surgery, "certify_trivial", lambda *args, **kwargs: stub)
+        verdict = surgery_invariants(spun_trefoil_embedding(), SlopeSpec(1, 2)).verdict
+        assert (verdict.kind, verdict.pi1_index) == ("NontrivialPi1", None)
+        assert verdict.detail == (
+            "fundamental group is infinite: the stabilizer of <m>'s coset has H1 = Z"
+        )
 
 
 class TestAbelianizationConsistency:
