@@ -13,7 +13,6 @@ from .abelian import (
     AbelianInvariants,
     abelian_invariants,
     hom_to_Z,
-    smith_normal_form,
     word_image,
 )
 from .budgets import Budgets

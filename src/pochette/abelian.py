@@ -1,8 +1,11 @@
-"""Integer Smith normal form and abelian invariants.
+"""Abelian invariants by one sparse integer elimination.
 
-Matrices are plain lists of integer rows.  All arithmetic is exact over
-Python integers, so entry growth during elimination can never wrap
-around.
+A relation matrix is a list of sparse rows ``{column: value}``, and
+``_cokernel`` reduces it to the invariants of Z^ncols modulo the rows:
+of the relator matrix for the abelianization and the map to Z, of the
+Reidemeister-Schreier rows for H1 of a stabilizer.  All arithmetic is
+exact over Python integers, so entry growth during elimination can
+never wrap around.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import gcd, inf
+from itertools import combinations, product
+from math import gcd, inf, lcm
 
 from .errors import CertificateError
 from .presentations import FinitePresentation, PermutationAssignment
@@ -19,8 +22,8 @@ from .words import Generator, Word
 
 __all__ = [
     "AbelianInvariants",
-    "smith_normal_form",
     "abelian_invariants",
+    "cokernel_invariants",
     "stabilizer_invariants",
     "hom_to_Z",
     "word_image",
@@ -78,143 +81,100 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _cokernel(
+    rows: list[dict[int, int]],
+    ncols: int,
+    max_work: float = inf,
+    basis: dict[int, dict[int, int]] | None = None,
+) -> AbelianInvariants | None:
+    """Z^ncols modulo the sparse rows ``{column: value}``; None past max_work.
 
-
-def smith_normal_form(
-    rows: list[list[int]], ncols: int, row_transform: bool = False
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]]]:
-    """Diagonalize the matrix M = rows by unimodular transforms: U M V = S.
-
-    ``ncols`` is the column count, which zero rows cannot carry.  S is
-    diagonal with nonnegative entries d1 | d2 | ... and zeros last; S, U
-    and V are new lists of rows and ``rows`` is left untouched.  U is
-    tracked only when ``row_transform`` asks for it, and is None
-    otherwise: abelian invariants need S alone, maps to Z only V.  Pivots
-    are chosen with minimal nonzero absolute value, ties broken by
-    lowest (row, column) index, which bounds entry growth and makes the
-    run deterministic.
+    The pivot is the least |entry|, from the shortest row holding it, in
+    its column of fewest rows.  Row moves clear the pivot's column; once
+    the column is the row's alone, column moves clear the row.  A nonzero
+    remainder is a smaller entry, so the Euclidean steps run through the
+    same loop.  An isolated pivot adds 1 to the rank, and |p| > 1 to the
+    diagonal, which one gcd/lcm pass puts in divisibility order.  Work
+    counts every rewritten entry.  The rows are rewritten in place.
+    ``basis``, when given, maps columns to vectors that the column moves
+    act on too and loses each pivot's column: from e_j for every column j
+    it ends as a basis of the kernel of the matrix.
     """
+    where = defaultdict(set)  # the rows each column is in
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
+    heap = [(1, len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    work = rank = 0
+    diagonal = []
+    # a key may be below its row's (least |entry|, length): rows go in with
+    # least 1, and the pop that finds a key too low pushes the row's own
+    while heap and work <= max_work:
+        least, length, i = heappop(heap)
+        row = rows[i]
+        if len(row) != length:
+            continue  # rewritten since it was pushed
+        if (true_least := min(map(abs, row.values()))) != least:
+            heappush(heap, (true_least, length, i))
+            continue
+        c = min((e for e, v in row.items() if abs(v) == least), key=lambda e: len(where[e]))
+        p = row[c]
+        for t in where[c] - {i}:
+            other = rows[t]
+            q = other[c] // p
+            for e, v in row.items():
+                if x := other.get(e, 0) - q * v:
+                    other[e] = x
+                    where[e].add(t)
+                else:
+                    del other[e]
+                    where[e].discard(t)
+            work += len(row)
+            if other:
+                heappush(heap, (1, len(other), t))
+        if len(where[c]) > 1:
+            heappush(heap, (least, length, i))  # remainders left in the column
+            continue
+        for e in [e for e in row if e != c]:
+            q, row[e] = divmod(row[e], p)
+            if basis is not None:
+                target = basis[e]
+                for g, y in basis[c].items():
+                    target[g] = target.get(g, 0) - q * y
+            if not row[e]:
+                del row[e]
+                where[e].discard(i)
+            work += 1
+        if len(row) > 1:
+            heappush(heap, (1, len(row), i))
+            continue
+        rank += 1
+        if abs(p) > 1:
+            diagonal.append(abs(p))
+        rows[i] = {}
+        if basis is not None:
+            del basis[c]
+    if work > max_work:
+        return None
+    for a, b in combinations(range(len(diagonal)), 2):
+        diagonal[a], diagonal[b] = gcd(diagonal[a], diagonal[b]), lcm(diagonal[a], diagonal[b])
+    return AbelianInvariants(ncols - rank, tuple(d for d in diagonal if d > 1))
+
+
+def cokernel_invariants(rows: list[list[int]], ncols: int) -> AbelianInvariants:
+    """Z^ncols modulo the rows of a dense integer matrix, which is left untouched."""
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"every row must have {ncols} entries")
-    nrows = len(rows)
-    a = [list(row) for row in rows]
-    u = _identity(nrows) if row_transform else None
-    v = _identity(ncols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    def min_pivot(t):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    pivot, best = (i, j), x
-        return pivot
-
-    t = 0
-    while t < nrows and t < ncols:
-        if min_pivot(t) is None:
-            break
-        while True:
-            # re-select the globally minimal pivot after every pass: the
-            # remainders it leaves behind become the next, smaller pivot,
-            # which is what keeps intermediate entries from exploding
-            i, j = min_pivot(t)
-            swap_rows(t, i)
-            swap_cols(t, j)
-            reduced = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    reduced = True
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    reduced = True
-            if reduced:
-                continue
-            # pivot row and column are clear; force the pivot to divide
-            # the whole trailing block so the diagonal comes out chained
-            offender = None
-            for i in range(t + 1, nrows):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, ncols)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return a, u, v
+    return _cokernel([{j: v for j, v in enumerate(row) if v} for row in rows], ncols)
 
 
-def relator_matrix(P: FinitePresentation) -> list[list[int]]:
-    """Rows = relators, columns = generators, entries = exponent sums.
+def _relation_rows(P: FinitePresentation, action: PermutationAssignment) -> list[dict[int, int]]:
+    """Abelianized Reidemeister-Schreier rows of the stabilizer of point 0.
 
-    Each relator is read once, counting its signed letters, for all columns.
-    """
-    rows = []
-    for rel in P.relators:
-        count = Counter(rel.letters)
-        rows.append([count[g, 1] - count[g, -1] for g in P.alphabet])
-    return rows
-
-
-def _cokernel(rows: list[list[int]], ncols: int) -> tuple[AbelianInvariants, list[list[int]]]:
-    """Invariants of Z^ncols modulo the rows, and the column transform V."""
-    S, _, V = smith_normal_form(rows, ncols)
-    diag = [S[i][i] for i in range(min(len(S), ncols))]
-    rank = sum(1 for d in diag if d != 0)
-    return AbelianInvariants(ncols - rank, tuple(d for d in diag if d > 1)), V
-
-
-def abelian_invariants(P: FinitePresentation) -> AbelianInvariants:
-    """Invariants of the cokernel of the relator matrix."""
-    return _cokernel(relator_matrix(P), len(P.alphabet))[0]
-
-
-def stabilizer_invariants(
-    P: FinitePresentation, action: PermutationAssignment, max_work: float = inf
-) -> AbelianInvariants | None:
-    """H1 of the stabilizer of point 0 in a transitive action of P; None past max_work.
-
-    Abelianized Reidemeister-Schreier (Holt, Eick, O'Brien, "Handbook of
-    Computational Group Theory", 2.5): a generator per entry (point, g) off
-    ``action.spanning_tree``, a relation per relator read from each point, so
-    on one point the relator matrix.  Pivots of +-1 go first, from the shortest
-    row with one, in its column of fewest rows; work counts the entries they
-    rewrite, and the cells the Smith form of the rest scans.
+    Holt, Eick, O'Brien, "Handbook of Computational Group Theory", 2.5: a
+    column per entry (point, g) off ``action.spanning_tree``, keyed point *
+    k + g, and a row per relator read from each point.
     """
     k, columns, n = len(action.images), action.columns, action.degree
     tree = {c * k + g for c, g in action.spanning_tree}
@@ -224,7 +184,7 @@ def stabilizer_invariants(
     crossed = [
         (columns[lt][x] if lt & 1 else x) * k + lt // 2 for x in range(n) for lt in range(2 * k)
     ]
-    rows, where = [], defaultdict(set)  # the rows each entry is in
+    rows = []
     for code, start in product(P.relator_codes, range(n)):
         read = code  # on one point each letter is its own key
         if n > 1:
@@ -237,42 +197,29 @@ def stabilizer_invariants(
             if (entry := crossed[key]) not in tree:
                 row[entry] = row.get(entry, 0) + (-times if key & 1 else times)
         rows.append({entry: v for entry, v in row.items() if v})
-        for entry in rows[-1]:
-            where[entry].add(len(rows) - 1)
-    heap = [(len(row), i) for i, row in enumerate(rows)]
-    heapify(heap)
-    work = eliminated = 0
-    while heap and work <= max_work:
-        length, i = heappop(heap)
-        row = rows[i]
-        units = [entry for entry, v in row.items() if v in (1, -1)] if len(row) == length else ()
-        if not units:
-            continue  # none, or the row was rewritten since it was pushed
-        pivot = min(units, key=lambda entry: len(where[entry]))
-        rows[i] = {}
-        for entry in row:
-            where[entry].discard(i)
-        for t in where.pop(pivot):
-            other = rows[t]
-            factor = other[pivot] * row[pivot]
-            for entry, v in row.items():  # clears the pivot's entry
-                other[entry] = other.get(entry, 0) - factor * v
-                if other[entry]:
-                    where[entry].add(t)
-                else:
-                    del other[entry]
-                    where[entry].discard(t)
-            work += len(row)
-            heappush(heap, (len(other), t))
-        eliminated += 1
-    left = [row for row in rows if row]
-    used = dict.fromkeys(entry for row in left for entry in row)
-    work += len(left) * len(used) * min(len(left), len(used))
-    if work > max_work:
-        return None
-    invariants, _ = _cokernel([[row.get(entry, 0) for entry in used] for row in left], len(used))
-    unused = n * k - len(tree) - eliminated - len(used)  # generators in no relation left
-    return AbelianInvariants(invariants.free_rank + unused, invariants.torsion)
+    return rows
+
+
+def relator_matrix(P: FinitePresentation) -> list[dict[int, int]]:
+    """Rows = relators as ``{generator index: nonzero exponent sum}``: the rows on one point."""
+    return _relation_rows(P, PermutationAssignment(1, P.alphabet, ((0,),) * len(P.alphabet)))
+
+
+def abelian_invariants(P: FinitePresentation) -> AbelianInvariants:
+    """Invariants of the cokernel of the relator matrix."""
+    return _cokernel(relator_matrix(P), len(P.alphabet))
+
+
+def stabilizer_invariants(
+    P: FinitePresentation, action: PermutationAssignment, max_work: float = inf
+) -> AbelianInvariants | None:
+    """H1 of the stabilizer of point 0 in a transitive action of P; None past max_work.
+
+    The cokernel of the Reidemeister-Schreier rows (``_relation_rows``); on
+    one point they are the relator matrix.  Work counts rewritten entries.
+    """
+    ncols = action.degree * len(action.images) - len(action.spanning_tree)
+    return _cokernel(_relation_rows(P, action), ncols, max_work)
 
 
 def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
@@ -280,21 +227,22 @@ def hom_to_Z(P: FinitePresentation) -> dict[Generator, int] | None:
 
     Returns None when the abelianization is not Z.  Images are
     normalized so the first generator with nonzero image maps to a
-    positive integer.
+    positive integer, and re-checked: every relator maps to 0 and the
+    images generate Z.
     """
-    invariants, V = _cokernel(relator_matrix(P), len(P.alphabet))
-    if invariants != AbelianInvariants(1, ()):
+    rows, k = relator_matrix(P), len(P.alphabet)
+    basis = {j: {j: 1} for j in range(k)}
+    if _cokernel([dict(row) for row in rows], k, basis=basis) != AbelianInvariants(1, ()):
         return None
-    free_col = len(P.alphabet) - 1  # the single zero column of S comes last
-    images = {g: V[j][free_col] for j, g in enumerate(P.alphabet)}
-    lead = next((images[g] for g in P.alphabet if images[g] != 0), None)
-    if lead is None:
-        raise CertificateError("rank-1 free part must be hit by some generator")
-    if lead < 0:
-        images = {g: -x for g, x in images.items()}
-    if (gcd(*images.values()) if len(images) > 1 else abs(lead)) != 1:
+    (kernel,) = basis.values()
+    values = [kernel.get(j, 0) for j in range(k)]
+    if next((x for x in values if x), 0) < 0:
+        values = [-x for x in values]
+    if any(sum(values[j] * v for j, v in row.items()) for row in rows):
+        raise CertificateError("a relator does not map to 0")
+    if gcd(*values) != 1:
         raise CertificateError("generator images do not generate Z")
-    return images
+    return dict(zip(P.alphabet, values))
 
 
 def word_image(images: dict[Generator, int], w: Word) -> int:

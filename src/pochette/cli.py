@@ -221,8 +221,10 @@ def _sweep_worker(job: tuple) -> dict:
 
 def _sweep_rows(jobs: list[tuple], workers: int) -> list[dict]:
     # fork starts every worker at once, forkserver (Python 3.14's default on
-    # Linux) as work arrives; each worker then gets about four chunks of slopes
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # Linux) as work arrives; each worker then gets about four chunks of slopes.
+    # The CPUs this process may run on are its affinity mask, where the OS keeps one
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(jobs), usable or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = -(-len(jobs) // (4 * workers))

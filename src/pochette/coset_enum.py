@@ -268,12 +268,8 @@ def _verify_closed(P: FinitePresentation, subgroup, action: PermutationAssignmen
         raise CertificateError("coset not reachable from coset 0")
     if not assignment_satisfies(P, action):
         raise CertificateError("relator trace failed to close")
-    for w in subgroup:
-        c = 0
-        for lt in P.encode(w):
-            c = action.columns[lt][c]
-        if c != 0:
-            raise CertificateError("subgroup generator left coset 0")
+    if any(action.walk(P.encode(w)) for w in subgroup):
+        raise CertificateError("subgroup generator left coset 0")
 
 
 def certify_trivial(
@@ -282,11 +278,12 @@ def certify_trivial(
     """Whether G is trivial, from one enumeration: of the cosets of <cyclic>.
 
     A cyclic group is its own H1, so |G| = index * |H1 of the stabilizer
-    of coset 0| (``stabilizer_invariants``); "Trivial" iff that is 1, and
-    an overflow is "Unknown".  The default, the identity, enumerates the
-    trivial subgroup.  Above index 1, where G is not trivial anyway, the
-    elimination may rewrite as many entries as a full table of max_cosets
-    cosets holds, and past that stabilizer is None.
+    of coset 0|, which ``stabilizer_invariants`` reads off the table;
+    "Trivial" iff that is 1, and an overflow is "Unknown".  The default,
+    the identity, enumerates the trivial subgroup.  Above index 1, where G
+    is not trivial anyway, the elimination may rewrite, by row and column
+    moves, as many entries as a full table of max_cosets cosets holds, and
+    past that stabilizer is None.
     """
     result = enumerate_cosets(P, (cyclic,), max_cosets)
     if result.kind == "Unknown":
@@ -311,7 +308,5 @@ def subgroup_membership(
     result = enumerate_cosets(P, tuple(subgroup_gens), max_cosets)
     if result.kind == "Unknown":
         return result
-    coset = 0
-    for lt in P.encode(candidate):
-        coset = result.table.columns[lt][coset]
+    coset = result.table.walk(P.encode(candidate))
     return replace(result, kind="InSubgroup" if coset == 0 else "NotInSubgroup")

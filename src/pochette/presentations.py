@@ -196,6 +196,13 @@ class PermutationAssignment:
                     tree.append((c, g))
         return tuple(tree)
 
+    def walk(self, code: tuple[int, ...]) -> int:
+        """The point that an encoded word takes point 0 to (needs is_action)."""
+        columns, x = self.columns, 0
+        for lt in code:
+            x = columns[lt][x]
+        return x
+
 
 def assignment_satisfies(P: FinitePresentation, a: PermutationAssignment) -> bool:
     """True iff a is an action of P's generators in which every relator fixes every point."""

@@ -151,12 +151,6 @@ def minors_gcd_diagonal(rows: list[list[int]], size: int) -> list[int]:
     return out
 
 
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
-    ]
-
-
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Apply p, then q."""
     return tuple(q[x] for x in p)

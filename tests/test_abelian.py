@@ -1,20 +1,22 @@
 import random
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pochette import abelian
 from pochette.abelian import (
     AbelianInvariants,
     abelian_invariants,
+    cokernel_invariants,
     hom_to_Z,
     relator_matrix,
-    smith_normal_form,
     stabilizer_invariants,
     word_image,
 )
 from pochette.coset_enum import enumerate_cosets
+from pochette.errors import CertificateError
 from pochette.presentations import FinitePresentation, PermutationAssignment, parse_presentation
 from pochette.words import Generator, Word, invert, parse_word
 from test_presentations import fusion_presentations, long_presentations, random_presentations
@@ -24,74 +26,41 @@ Y = Generator("y")
 TRIVIAL_GROUP = AbelianInvariants(0, ())
 
 
-def diagonal(S, ncols):
-    return [S[i][i] for i in range(min(len(S), ncols))]
+def oracle_invariants(rows, ncols):
+    """The cokernel's invariants from the elementary-operation oracle's diagonal."""
+    diag = oracles.snf_diagonal_oracle(rows)
+    return AbelianInvariants(ncols - sum(1 for d in diag if d), tuple(d for d in diag if d > 1))
 
 
-def identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def check_decomposition(rows):
+def check_invariants(rows):
     nrows, ncols = len(rows), len(rows[0])
     before = [list(row) for row in rows]
-    S, U, V = smith_normal_form(rows, ncols, row_transform=True)
+    invariants = cokernel_invariants(rows, ncols)
     assert rows == before, "the input rows must be left untouched"
-    assert [len(row) for row in S] == [ncols] * nrows
-    assert [len(row) for row in U] == [nrows] * nrows
-    assert [len(row) for row in V] == [ncols] * ncols
-    assert oracles.matmul(oracles.matmul(U, rows), V) == S
-    assert abs(oracles.det(U)) == 1
-    assert abs(oracles.det(V)) == 1
-    diag = diagonal(S, ncols)
-    assert all(d >= 0 for d in diag)
-    nonzero = [d for d in diag if d]
-    assert diag[: len(nonzero)] == nonzero, "zeros must come last"
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    # off-diagonal must vanish
-    for i in range(nrows):
-        for j in range(ncols):
-            if i != j:
-                assert S[i][j] == 0
-    return S
+    assert invariants == oracle_invariants(rows, ncols), rows
+    minors = oracles.minors_gcd_diagonal(rows, min(nrows, ncols))
+    assert minors == oracles.snf_diagonal_oracle(rows), rows
+    return invariants
 
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        S = check_decomposition([[2, 0], [0, 3]])
-        assert diagonal(S, 2) == [1, 6]
+        assert check_invariants([[2, 0], [0, 3]]) == AbelianInvariants.cyclic(6)
 
     def test_zero_matrix(self):
-        rows = [[0, 0], [0, 0], [0, 0]]
-        S, U, V = smith_normal_form(rows, 2, row_transform=True)
-        assert S == rows
-        assert U == identity(3)
-        assert V == identity(2)
+        assert check_invariants([[0, 0], [0, 0], [0, 0]]) == AbelianInvariants.free(2)
 
     def test_one_by_one(self):
         for n in (-7, -1, 0, 1, 12):
-            S, _, _ = smith_normal_form([[n]], 1)
-            assert diagonal(S, 1) == [abs(n)]
+            assert check_invariants([[n]]) == AbelianInvariants.cyclic(n)
 
     def test_empty_shapes(self):
-        S, U, V = smith_normal_form([], 3, row_transform=True)
-        assert S == [] and U == [] and V == identity(3)
-        S, U, V = smith_normal_form([[], []], 0, row_transform=True)
-        assert S == [[], []] and U == identity(2) and V == []
-
-    def test_row_transform_is_opt_in(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-            S, U, V = smith_normal_form(rows, ncols)
-            tracked_S, _, tracked_V = smith_normal_form(rows, ncols, row_transform=True)
-            assert U is None and (S, V) == (tracked_S, tracked_V)
+        assert cokernel_invariants([], 3) == AbelianInvariants.free(3)
+        assert cokernel_invariants([[], []], 0) == TRIVIAL_GROUP
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            smith_normal_form([[1, 2], [3]], 2)
+            cokernel_invariants([[1, 2], [3]], 2)
 
     def test_against_elementary_oracle_seeded(self):
         rng = random.Random(20240817)
@@ -99,8 +68,7 @@ class TestSmithNormalForm:
             nrows = rng.randint(1, 6)
             ncols = rng.randint(1, 6)
             rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-            S = check_decomposition(rows)
-            assert diagonal(S, ncols) == oracles.snf_diagonal_oracle(rows), rows
+            check_invariants(rows)
 
     def test_against_minors_gcd_oracle_seeded(self):
         rng = random.Random(99)
@@ -108,9 +76,7 @@ class TestSmithNormalForm:
             nrows = rng.randint(1, 4)
             ncols = rng.randint(1, 4)
             rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
-            S, _, _ = smith_normal_form(rows, ncols)
-            size = min(nrows, ncols)
-            assert diagonal(S, ncols) == oracles.minors_gcd_diagonal(rows, size), rows
+            check_invariants(rows)
 
     @given(
         st.lists(
@@ -121,7 +87,7 @@ class TestSmithNormalForm:
     )
     @settings(max_examples=80, deadline=None)
     def test_decomposition_properties(self, rows):
-        check_decomposition(rows)
+        check_invariants(rows)
 
 
 class TestAbelianInvariants:
@@ -167,6 +133,38 @@ class TestAbelianInvariants:
         assert AbelianInvariants(1, ()).order() is None
 
 
+def large_exponent_presentations():
+    """Up to three generators and four relators of up to four syllables g^e, |e| <= 30."""
+    gens = st.sampled_from([(X,), (X, Y), (X, Y, Generator("z"))])
+    return gens.flatmap(
+        lambda alphabet: st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(alphabet), st.integers(-30, 30)),
+                max_size=4,
+            ).map(Word.from_syllables),
+            max_size=4,
+        ).map(lambda rels: FinitePresentation(alphabet, tuple(rels)))
+    )
+
+
+def check_against_oracle(P):
+    # exponent sums straight from the letters, not via relator_matrix
+    rows = [
+        [sum(s for h, s in rel.letters if h == g) for g in P.alphabet]
+        for rel in P.relators
+    ]
+    assert relator_matrix(P) == [{j: v for j, v in enumerate(row) if v} for row in rows]
+    invariants = oracle_invariants(rows, len(P.alphabet))
+    assert abelian_invariants(P) == invariants, rows
+    images = hom_to_Z(P)
+    assert (images is not None) == (invariants == AbelianInvariants.free(1)), rows
+    if images is not None:
+        assert set(images) == set(P.alphabet)
+        assert all(word_image(images, rel) == 0 for rel in P.relators)
+        assert gcd(*images.values()) == 1
+        assert next(x for x in images.values() if x) > 0
+
+
 class TestHomToZ:
     def test_spun_trefoil(self):
         P = parse_presentation("gens: x,y\nrels: y x^-1 y x y^-1 x")
@@ -201,23 +199,30 @@ class TestHomToZ:
     @given(st.one_of(random_presentations(), fusion_presentations()))
     @settings(max_examples=200, deadline=None)
     def test_against_oracle(self, P):
-        # exponent sums straight from the letters, not via relator_matrix
-        rows = [
-            [sum(s for h, s in rel.letters if h == g) for g in P.alphabet]
-            for rel in P.relators
-        ]
-        assert relator_matrix(P) == rows
-        diag = oracles.snf_diagonal_oracle(rows)
-        infinite_cyclic = (
-            len(P.alphabet) - sum(1 for d in diag if d) == 1
-            and all(d <= 1 for d in diag)
-        )
-        images = hom_to_Z(P)
-        assert (images is not None) == infinite_cyclic, rows
-        if images is not None:
-            assert set(images) == set(P.alphabet)
-            assert all(word_image(images, rel) == 0 for rel in P.relators)
-            assert gcd(*images.values()) == 1
+        check_against_oracle(P)
+
+    @given(large_exponent_presentations())
+    @settings(max_examples=200, deadline=None)
+    def test_large_exponents_against_oracle(self, P):
+        check_against_oracle(P)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [{0: 2, 1: 2}, {0: 1}],  # images of gcd 2; a relator not sent to 0
+    )
+    def test_wrong_kernel_raises(self, monkeypatch, kernel):
+        P = parse_presentation("gens: x,y\nrels: x y^-1")
+        cokernel = abelian._cokernel
+
+        def wrong_kernel(rows, ncols, max_work=inf, basis=None):
+            invariants = cokernel(rows, ncols, max_work, basis)
+            (free,) = basis
+            basis[free] = kernel
+            return invariants
+
+        monkeypatch.setattr(abelian, "_cokernel", wrong_kernel)
+        with pytest.raises(CertificateError):
+            hom_to_Z(P)
 
 
 def one_point(P):
@@ -278,3 +283,7 @@ class TestStabilizerInvariants:
         table = enumerate_cosets(P, (parse_word("s^-1 t^2", P.alphabet),), 1000).table
         assert stabilizer_invariants(P, table, max_work=0) is None
         assert stabilizer_invariants(P, table, max_work=1000) == AbelianInvariants.cyclic(10)
+        # the one move on <x, y | x y>, the column move that clears y, passes 0
+        P = parse_presentation("gens: x, y\nrels: x y")
+        assert stabilizer_invariants(P, one_point(P), max_work=0) is None
+        assert stabilizer_invariants(P, one_point(P), max_work=1) == AbelianInvariants.free(1)

@@ -213,8 +213,12 @@ class TestSweep:
         assert code == 2 and out == "" and err == "error: --jobs must be at least 1\n"
 
     @staticmethod
-    def recording_pool(monkeypatch, cpus):
-        """A pool that records (max_workers, chunksize) and maps in-process."""
+    def recording_pool(monkeypatch, cpus, affinity=None):
+        """A pool that records (max_workers, chunksize) and maps in-process.
+
+        The machine has ``cpus`` CPUs, and the process may run on
+        ``affinity`` of them, or the OS keeps no affinity mask when None.
+        """
         calls = []
 
         class RecordingPool:
@@ -233,6 +237,10 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(affinity)))
         return calls
 
     @pytest.mark.parametrize(
@@ -256,6 +264,20 @@ class TestSweep:
         capped = strip_volatile(run_json(capsys, *argv, "--jobs", jobs))
         assert [workers for workers, _ in calls] == pools
         assert capped == strip_volatile(run_json(capsys, *argv, "--jobs", "1"))
+
+    @pytest.mark.parametrize(
+        "cpus, affinity, pools",
+        [
+            (2, 1, []),  # one usable CPU of two: serial
+            (64, 3, [3]),  # capped at the usable CPUs
+            (None, 2, [2]),  # the mask counts when the CPU count is unknown
+        ],
+    )
+    def test_jobs_capped_at_the_affinity_mask(self, capsys, monkeypatch, cpus, affinity, pools):
+        calls = self.recording_pool(monkeypatch, cpus, affinity)
+        argv = ("sweep", "spun-trefoil", "--p-range", "1:5", "--q-range", "1:1", "--jobs", "5")
+        run_json(capsys, *argv)
+        assert [workers for workers, _ in calls] == pools
 
     @pytest.mark.parametrize("jobs, chunksize", [("2", 5), ("3", 4), ("40", 1)])
     def test_slopes_go_to_workers_in_chunks(self, capsys, monkeypatch, jobs, chunksize):
