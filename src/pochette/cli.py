@@ -312,18 +312,11 @@ def _cordcheck(args, P, budgets, meridian):
 
 
 def _cmd_cword(args) -> int:
-    slope = SlopeSpec(args.p, args.q, args.epsilon)
-    if slope.p == 0:
-        raise InputError(
-            "slope 0/1 has no slope word; the surgery relator is the longitude"
-        )
-    print(word_to_text(surgery_relator_word(slope)))
+    print(word_to_text(surgery_relator_word(SlopeSpec(args.p, args.q, args.epsilon))))
     return 0
 
 
 def _cmd_gen_fusion(args) -> int:
-    if args.n < 1:
-        raise InputError("--n must be at least 1")
     if args.max_word_len < 0:
         raise InputError("--max-word-len must be at least 0")
     rng = random.Random(args.seed)

@@ -7,6 +7,9 @@ coset bound is a verdict ("no claim"), not an error.
 The method follows the classical presentation in Holt, Eick, O'Brien,
 "Handbook of Computational Group Theory", ch. 5, with definitions made
 at the first undefined (coset, signed generator) pair in scan order.
+One sweep over the cosets closes the table (HEO §5.2): coincidence
+processing restores every entry it clears, so a processed coset's row
+stays complete and its scans stay closed.
 While it runs the table is kept by column, one list per signed letter
 indexed by coset, and every relator and subgroup word is compiled once
 to its lists of columns.  The statistics a report prints (cosets
@@ -73,12 +76,12 @@ def _hlt(
     """Run the HLT main loop.
 
     Returns (closed, defined, collapses); closed is None when the coset
-    bound was hit.  On success closed is ``(degree, columns)``, the
-    closed table over the live cosets, renumbered in order, with one
+    bound was hit.  Otherwise closed is ``(degree, columns)``, the table
+    over the live cosets after one sweep, renumbered in order, with one
     column per letter, ``columns[lt][coset]``: every relator and
-    subgroup-generator scan closes.  Dead cosets keep their numbers
-    while the kernel runs, so ``defined`` is the number of cosets ever
-    made.
+    subgroup-generator scan closes, which ``_verify_closed`` checks.
+    Dead cosets keep their numbers while the kernel runs, so ``defined``
+    is the number of cosets ever made.
 
     The table is kept by column, ``cols[lt][coset]``, and each word is
     compiled to its forward columns and to the inverse letters' columns
@@ -160,69 +163,68 @@ def _hlt(
     relator_scans = [compile_scan(w) for w in relators]
     # coset 0 never dies, so its first visit scans the subgroup words first
     scans = [compile_scan(w) for w in subgroup] + relator_scans
-    # Coincidences may re-open entries of already-processed cosets, so
-    # sweep until a pass leaves every live row closed.
-    while True:
-        alpha = 0
-        while alpha < n:
-            if parent[alpha] == alpha:
-                for fw, bw, last in scans:
-                    f = b = alpha
-                    i = 0
-                    j = last
-                    while True:
-                        while i <= j:
-                            g = fw[i][f]
-                            if g == UNDEF:
-                                break
-                            f = g
-                            i += 1
-                        if i > j:
-                            if f != b:
-                                collapses += coincidence(f, b)
+    # one sweep: each live coset scans the relators, then fills its row, and
+    # coincidence processing restores every entry it clears before it returns
+    alpha = 0
+    while alpha < n:
+        if parent[alpha] == alpha:
+            for fw, bw, last in scans:
+                f = b = alpha
+                i = 0
+                j = last
+                while True:
+                    while i <= j:
+                        g = fw[i][f]
+                        if g == UNDEF:
                             break
-                        while j >= i:
-                            g = bw[j][b]
-                            if g == UNDEF:
-                                break
-                            b = g
-                            j -= 1
-                        if j < i:
+                        f = g
+                        i += 1
+                    if i > j:
+                        if f != b:
                             collapses += coincidence(f, b)
+                        break
+                    while j >= i:
+                        g = bw[j][b]
+                        if g == UNDEF:
                             break
-                        if j == i:
-                            fw[i][f] = b
-                            bw[i][b] = f
-                            break
-                        # define f.word[i] as a new coset
+                        b = g
+                        j -= 1
+                    if j < i:
+                        collapses += coincidence(f, b)
+                        break
+                    if j == i:
+                        fw[i][f] = b
+                        bw[i][b] = f
+                        break
+                    # define f.word[i] as a new coset
+                    if n >= max_cosets:
+                        return None, n, collapses
+                    if n == cap:
+                        cap = grow()
+                    fw[i][f] = n
+                    bw[i][n] = f
+                    n += 1
+                if parent[alpha] != alpha:
+                    break
+            scans = relator_scans
+            if parent[alpha] == alpha:
+                for col, inv in pairs:
+                    if col[alpha] == UNDEF:
                         if n >= max_cosets:
                             return None, n, collapses
                         if n == cap:
                             cap = grow()
-                        fw[i][f] = n
-                        bw[i][n] = f
+                        col[alpha] = n
+                        inv[n] = alpha
                         n += 1
-                    if parent[alpha] != alpha:
-                        break
-                scans = relator_scans
-                if parent[alpha] == alpha:
-                    for col, inv in pairs:
-                        if col[alpha] == UNDEF:
-                            if n >= max_cosets:
-                                return None, n, collapses
-                            if n == cap:
-                                cap = grow()
-                            col[alpha] = n
-                            inv[n] = alpha
-                            n += 1
-            alpha += 1
-        live = list(compress(range(n), map(eq, parent, range(n))))
-        closed = [list(map(col.__getitem__, live)) for col in cols]
-        if all(UNDEF not in column for column in closed):
-            break
-    # a live row names live cosets only; UNDEF stands in for any other
+        alpha += 1
+    live = list(compress(range(n), map(eq, parent, range(n))))
+    # a live row names live cosets only; UNDEF stands in for any other, and
+    # for an entry left undefined, which _verify_closed rejects
     label = dict(zip(live, count()))
-    columns = tuple(tuple(map(label.get, column, repeat(UNDEF))) for column in closed)
+    columns = tuple(
+        tuple(map(label.get, map(col.__getitem__, live), repeat(UNDEF))) for col in cols
+    )
     return (len(live), columns), n, collapses
 
 

@@ -23,7 +23,7 @@ from .errors import InputError
 from .presentations import FinitePresentation, PermutationAssignment, parse_presentation
 from .quotient_search import find_noncyclic_quotient
 from .surgery import PochetteEmbeddingData
-from .words import Generator, Word, invert, parse_word, word_to_text
+from .words import Generator, Word, cyclically_reduce, invert, parse_word, word_to_text
 
 __all__ = [
     "InvalidFusionGraph",
@@ -145,19 +145,21 @@ def _as_meridian_power(cord: Word, meridian: Word) -> int | None:
     """Exponent k with cord == meridian^k as free words, if any.
 
     Sound for the group question: equality of the reduced words implies
-    equality in every quotient.  Powers of a nonidentity reduced word
-    grow strictly in length, so the scan below terminates.
+    equality in every quotient.  Write the meridian as u c u^-1 with c
+    cyclically reduced; then meridian^k is the reduced word u c^k u^-1 of
+    length 2|u| + |k| |c|, so the cord's length leaves one candidate |k|.
     """
-    if not meridian:
-        return 0 if not cord else None
     if not cord:
         return 0
-    k = 1
-    while len(meridian**k) <= len(cord):
-        for exponent in (k, -k):
-            if (meridian**exponent).letters == cord.letters:
-                return exponent
-        k += 1
+    core = len(cyclically_reduce(meridian))
+    if not core:
+        return None
+    k, rest = divmod(len(cord) - (len(meridian) - core), core)
+    if rest or k < 1:
+        return None
+    for exponent in (k, -k):
+        if meridian**exponent == cord:
+            return exponent
     return None
 
 
@@ -177,50 +179,43 @@ def cord_triviality(
     cyclic, hence infinite cyclic, so any non-cyclic finite quotient rules
     it out.  There the quotient search runs first, since on knot groups
     the meridian subgroup has infinite index and the enumeration cannot
-    close; membership runs only when the search finds nothing.
+    close; membership runs only when the search finds nothing.  Elsewhere
+    membership runs first, and the search runs once it is refuted.
     """
     power = _as_meridian_power(cord, meridian)
     if power is not None:
-        return CordVerdict(
-            "TrivialCordClass",
-            detail=f"cord is visibly meridian^{power}",
-        )
+        return CordVerdict("TrivialCordClass", detail=f"cord is visibly meridian^{power}")
     two_generator = (
         len(P.alphabet) == 2
         and len(meridian) == len(cord) == 1
         and meridian.letters[0][0] != cord.letters[0][0]
         and hom_to_Z(P) is not None
     )
-    if two_generator:
+    membership = witness = None
+    if not two_generator:
+        membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
+    if membership is None or membership.kind == "NotInSubgroup":
         witness = find_noncyclic_quotient(P, budgets.quotient_degree)
-        if witness is not None:
-            return CordVerdict(
-                "NontrivialCordCertified",
-                witness=witness,
-                detail="a trivial cord would make the two-generator group cyclic, "
-                "contradicting the non-cyclic quotient witness",
+    if witness is not None:
+        if membership is None:
+            detail = (
+                "a trivial cord would make the two-generator group cyclic, "
+                "contradicting the non-cyclic quotient witness"
             )
-    membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
+        else:
+            detail = (
+                "membership refuted by a closed enumeration and the group "
+                "is not infinite cyclic"
+            )
+        return CordVerdict("NontrivialCordCertified", witness, membership, detail)
+    if membership is None:
+        membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
     if membership.kind == "InSubgroup":
-        return CordVerdict(
-            "TrivialCordClass",
-            membership=membership,
-            detail=f"cord traced into the meridian subgroup "
-            f"(index {membership.index})",
-        )
+        detail = f"cord traced into the meridian subgroup (index {membership.index})"
+        return CordVerdict("TrivialCordClass", membership=membership, detail=detail)
     if membership.kind == "Unknown":
         detail = f"enumeration overflowed at {budgets.max_cosets} cosets"
         return CordVerdict("Unknown", membership=membership, detail=detail)
-    # refuted membership; in the two-generator case the search already ran
-    witness = None if two_generator else find_noncyclic_quotient(P, budgets.quotient_degree)
-    if witness is not None:
-        return CordVerdict(
-            "NontrivialCordCertified",
-            witness=witness,
-            membership=membership,
-            detail="membership refuted by a closed enumeration and the group "
-            "is not infinite cyclic",
-        )
     detail = (
         "membership refuted but no non-cyclic quotient found within "
         f"degree {budgets.quotient_degree}"
@@ -262,7 +257,10 @@ def parse_fusion_file(text: str) -> FusionData:
                 i, j = int(tokens[-2]), int(tokens[-1])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad disk indices") from exc
-            word = parse_word(" ".join(tokens[:-2]), gens)
+            try:
+                word = parse_word(" ".join(tokens[:-2]), gens)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
             bands.append((word, i, j))
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")

@@ -109,7 +109,7 @@ def surgery_relator_word(slope: SlopeSpec) -> Word:
     """
     if slope.p == 0:
         raise UndefinedForSlopeZero(
-            "slope 0 surgery attaches along the longitude itself"
+            "slope 0/1 has no slope word; the surgery relator is the longitude"
         )
     p, q = slope.p, slope.q
     l_letter = ((LONGITUDE_LETTER, 1 if q > 0 else -1),)  # each block has q's sign

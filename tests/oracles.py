@@ -16,7 +16,9 @@ earlier Tietze program, matched move for move), ``substitute_oracle``
 (one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
 verdict from regular coset enumeration alone),
 ``cord_kind_membership_first_oracle`` (the cord verdict kind with
-membership run before the quotient search), ``sweep_slopes_oracle``
+membership run before the quotient search), ``as_meridian_power_oracle``
+(the meridian exponent found by trying every power up to the cord's
+length), ``sweep_slopes_oracle``
 (the sweep grid's slopes, normalized one ``SlopeSpec`` at a time),
 ``find_noncyclic_quotient_oracle`` (the quotient search that composed
 whole permutations of ``Word``s at every node, matched on whether a
@@ -41,7 +43,6 @@ from pochette.presentations import (
     assignment_satisfies,
 )
 from pochette.quotient_search import image_is_cyclic
-from pochette.ribbon import _as_meridian_power
 from pochette.surgery import SlopeSpec, Verdict, linking_number, surgery_pi1
 from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
 
@@ -477,6 +478,25 @@ def find_noncyclic_quotient_oracle(
     return None
 
 
+def as_meridian_power_oracle(cord: Word, meridian: Word) -> int | None:
+    """Exponent k with cord == meridian^k as free words: every k up to the cord's length.
+
+    Powers of a nonidentity reduced word grow strictly in length, so the
+    scan terminates.
+    """
+    if not meridian:
+        return 0 if not cord else None
+    if not cord:
+        return 0
+    k = 1
+    while len(meridian**k) <= len(cord):
+        for exponent in (k, -k):
+            if (meridian**exponent).letters == cord.letters:
+                return exponent
+        k += 1
+    return None
+
+
 def cord_kind_membership_first_oracle(P, meridian, cord, budgets) -> str:
     """The cord verdict kind from the earlier order: membership, then the search.
 
@@ -485,7 +505,7 @@ def cord_kind_membership_first_oracle(P, meridian, cord, budgets) -> str:
     argument applies (two generators, meridian and cord distinct single
     letters, abelianization Z).
     """
-    if _as_meridian_power(cord, meridian) is not None:
+    if as_meridian_power_oracle(cord, meridian) is not None:
         return "TrivialCordClass"
     membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
     if membership.kind == "InSubgroup":

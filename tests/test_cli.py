@@ -340,6 +340,12 @@ class TestAbelianize:
         code, _, err = run_cli(capsys, "abelianize", str(path))
         assert code == 2 and "line 2" in err
 
+    def test_fusion_band_error_carries_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.fus"
+        path.write_text("n: 2\nband: x1 1 2\nband: z9 2 3\n")
+        code, out, err = run_cli(capsys, "abelianize", f"fusion:{path}")
+        assert (code, out, err) == (2, "", "error: line 3: unknown generator 'z9'\n")
+
 
 class TestSimplify:
     def test_collapses_to_empty(self, capsys, tmp_path):
@@ -374,6 +380,21 @@ class TestCordcheck:
                 "--max-cosets", "500",
             )
             assert report["verdict"] == "TrivialCordClass"
+
+    def test_long_cords(self, capsys):
+        # trying every meridian power up to the cord's length took minutes here
+        report = run_json(
+            capsys, "cordcheck", "spun-trefoil", "--cord", "x^50000 y",
+            "--max-cosets", "1000", "--degree", "3",
+        )
+        assert report["verdict"] == "Unknown"
+        assert report["detail"] == "enumeration overflowed at 1000 cosets"
+        report = run_json(
+            capsys, "cordcheck", "spun-trefoil", "--meridian", "y x y^-1",
+            "--cord", "y x^-50000 y^-1", "--max-cosets", "1000", "--degree", "3",
+        )
+        assert report["verdict"] == "TrivialCordClass"
+        assert report["detail"] == "cord is visibly meridian^-50000"
 
 
 class TestGenFusion:
@@ -526,6 +547,10 @@ def _unreadable(kind, path):
         (("abelianize", "missing.txt"), _unreadable("presentation", "missing.txt")),
         (("abelianize", "fusion:missing.fus"), _unreadable("fusion", "missing.fus")),
         (("gen-fusion", "--n=2", "--max-word-len=-1"), "--max-word-len must be at least 0"),
+        (("gen-fusion", "--n=0"), "fusion count must be at least 1"),
+        (("gen-fusion", "--n=-3"), "fusion count must be at least 1"),
+        (("cword", "-p", "0", "-q", "1"),
+         "slope 0/1 has no slope word; the surgery relator is the longitude"),
     ],
 )
 def test_single_fault_keeps_its_error(capsys, monkeypatch, tmp_path, argv, message):

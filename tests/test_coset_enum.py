@@ -423,7 +423,7 @@ class TestVerifyClosed:
         for images in (
             ((1, 1, 0),),  # x maps two cosets to 1
             ((1, 2, 3),),  # an entry past the last coset
-            ((1, -1, 0),),  # UNDEF, the entry _hlt gives one naming a dead coset
+            ((1, -1, 0),),  # UNDEF: an entry _hlt left undefined, or naming a dead coset
             ((1, 2),),  # a short image
             ((1, 2, 0), (1, 2, 0)),  # an image for a generator P lacks
             (),  # no image for x

@@ -19,6 +19,7 @@ from pochette.quotient_search import assignment_satisfies, find_noncyclic_quotie
 from pochette.ribbon import (
     FusionData,
     InvalidFusionGraph,
+    _as_meridian_power,
     cord_triviality,
     format_fusion,
     fusion_generators,
@@ -30,11 +31,14 @@ from pochette.ribbon import (
     random_fusion_data,
     spun_trefoil,
 )
-from pochette.words import Generator, Word, parse_word
+from pochette.words import Generator, Word, invert, parse_word
 
 X = Generator("x")
 Y = Generator("y")
 Z = AbelianInvariants(1, ())
+WORDS = st.lists(
+    st.tuples(st.sampled_from([X, Y]), st.sampled_from([1, -1])), max_size=5
+).map(lambda letters: Word(tuple(letters)))
 
 
 def w(text, alphabet=(X, Y)):
@@ -211,6 +215,17 @@ class TestCordTriviality:
         budgets = Budgets(max_cosets=500, quotient_degree=4)
         assert cord_triviality(P, w("x"), w(cord), budgets).kind == (
             oracles.cord_kind_membership_first_oracle(P, w("x"), w(cord), budgets)
+        )
+
+    @given(WORDS, WORDS, WORDS, st.integers(-6, 6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_meridian_power_matches_every_power_scan(self, outer, core, noise, k, perturb):
+        # meridians u c u^-1 with c often not cyclically reduced, and cords
+        # that are powers of them, some perturbed
+        meridian = outer * core * invert(outer)
+        cord = meridian**k * (noise if perturb else Word())
+        assert _as_meridian_power(cord, meridian) == oracles.as_meridian_power_oracle(
+            cord, meridian
         )
 
     def test_certificate_stability_across_budgets(self):
