@@ -11,6 +11,12 @@ Each report subcommand declares its flags once, in ``_build_parser``.
 resolved value in the report's ``command``, with ``--format`` last.
 wall_ms times the subcommand's own work: from after the source and its
 words are loaded to the finished report body.
+
+A JSON report is the bytes of ``json.dumps(report, indent=2)``, emitted
+by ``_json``: a container of scalars, such as a sweep row or a verdict,
+goes through json's C encoder in one call, and containers of
+containers are joined by the same indent rules.  Only a sweep with
+more than one job imports the process pool, and with it multiprocessing.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import re
 import shlex
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import cache, partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from pathlib import Path
 
@@ -76,6 +82,53 @@ def _render_text(value: dict | list, indent: int = 0) -> list[str]:
         else:
             lines.append(f"{pad}{label} {item if isinstance(item, str) else json.dumps(item)}")
     return lines
+
+
+@cache
+def _scalars_encoder(depth: int):
+    """Encode a container of scalars at ``depth`` as ``indent=2`` would, less
+    the line breaks after its opening and before its closing bracket.
+
+    Called as ``encoder(value, 0)``, it returns the text in chunks.
+    """
+    encoder = json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+    if c_make_encoder is None:  # an interpreter without json's C accelerator
+        return lambda value, _: encoder.iterencode(value)
+    # markers (None: no cycle check), default, string encoder, indent,
+    # separators, sort_keys, skipkeys, allow_nan: JSONEncoder's defaults
+    return c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, False, False, True,
+    )
+
+
+_CONTAINERS = {dict, list, tuple}
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested ``depth`` deep.
+
+    Its keys must be str and its containers plain dicts, lists and tuples,
+    as a report's are.
+    """
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        return "".join(_scalars_encoder(depth)(value, 0))
+    opening, closing = "{}" if kind is dict else "[]"
+    if not value:
+        return opening + closing
+    items = value.values() if kind is dict else value
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if _CONTAINERS.isdisjoint(map(type, items)):
+        body = "".join(_scalars_encoder(depth)(value, 0))[1:-1]
+    elif kind is dict:
+        body = ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json(item, depth + 1)}" for k, item in value.items()]
+        )
+    else:
+        body = ("," + inner).join([_json(item, depth + 1) for item in value])
+    return f"{opening}{inner}{body}{outer}{closing}"
 
 
 def _parse_slope(text: str, framing: int) -> SlopeSpec:
@@ -168,9 +221,7 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
         **body,
         "wall_ms": round(wall_s * 1000, 1),
     }
-    print(
-        json.dumps(report, indent=2) if args.format == "json" else "\n".join(_render_text(report))
-    )
+    print(_json(report) if args.format == "json" else "\n".join(_render_text(report)))
     return 0
 
 
@@ -226,6 +277,8 @@ def _sweep_rows(jobs: list[tuple], workers: int) -> list[dict]:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(jobs), usable or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = -(-len(jobs) // (4 * workers))
             return list(pool.map(_sweep_worker, jobs, chunksize=chunksize))

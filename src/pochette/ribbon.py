@@ -47,7 +47,11 @@ Y = Generator("y")
 
 
 class InvalidFusionGraph(InputError):
-    pass
+    """Fusion data that is not a tree of bands; ``band`` indexes the band at fault."""
+
+    def __init__(self, message: str, band: int | None = None):
+        super().__init__(message)
+        self.band = band
 
 
 def fusion_generators(n: int) -> tuple[Generator, ...]:
@@ -81,18 +85,19 @@ class FusionData:
                 a = parent[a]
             return a
 
-        for word, i, j in self.bands:
+        for k, (word, i, j) in enumerate(self.bands):
             if not (1 <= i <= self.n + 1 and 1 <= j <= self.n + 1):
-                raise InvalidFusionGraph(f"band endpoint out of range: ({i}, {j})")
+                raise InvalidFusionGraph(f"band endpoint out of range: ({i}, {j})", k)
             if i == j:
-                raise InvalidFusionGraph(f"band may not join disk {i} to itself")
+                raise InvalidFusionGraph(f"band may not join disk {i} to itself", k)
             if word.generators() - allowed:
                 raise InvalidFusionGraph(
-                    f"band word {word_to_text(word)!r} uses letters outside x1..x{self.n + 1}"
+                    f"band word {word_to_text(word)!r} uses letters outside x1..x{self.n + 1}",
+                    k,
                 )
             ri, rj = find(i), find(j)
             if ri == rj:
-                raise InvalidFusionGraph("band graph contains a cycle")
+                raise InvalidFusionGraph("band graph contains a cycle", k)
             parent[ri] = rj
         # n edges, no cycle, n+1 vertices: connectivity is automatic
 
@@ -228,10 +233,11 @@ def parse_fusion_file(text: str) -> FusionData:
 
     Each band line is ``band: <word> <i> <j>`` with the last two tokens
     the disk indices; the word may contain spaces.  Comments start with
-    '#'; blank lines are ignored.
+    '#'; blank lines are ignored.  An error in one band names its line.
     """
     n: int | None = None
     bands: list[tuple[Word, int, int]] = []
+    band_lines: list[int] = []
     gens: tuple[Generator, ...] = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -262,11 +268,17 @@ def parse_fusion_file(text: str) -> FusionData:
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from exc
             bands.append((word, i, j))
+            band_lines.append(lineno)
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise InputError("fusion file is missing the n: line")
-    return FusionData(n, tuple(bands))
+    try:
+        return FusionData(n, tuple(bands))
+    except InvalidFusionGraph as exc:
+        if exc.band is None:
+            raise
+        raise InvalidFusionGraph(f"line {band_lines[exc.band]}: {exc}") from exc
 
 
 def format_fusion(f: FusionData) -> str:

@@ -182,19 +182,18 @@ def surgery_pi1(data: PochetteEmbeddingData, slope: SlopeSpec) -> FinitePresenta
     return add_relator(data.knot_group, extra)
 
 
+_Z = AbelianInvariants.free(1)
+_Z2 = AbelianInvariants.free(2)
+_TRIVIAL = AbelianInvariants.free(0)
+
+
 def surgery_homology(linking: int, slope: SlopeSpec) -> tuple[AbelianInvariants, ...]:
     """Homology H0..H4 of the surgered manifold, from the slope and linking number."""
-    Z = AbelianInvariants.free(1)
     n = slope.p + slope.q * linking
-    if n != 0:
-        middle = (
-            AbelianInvariants.cyclic(n),
-            AbelianInvariants.cyclic(n),
-            AbelianInvariants.free(0),
-        )
-    else:
-        middle = (Z, AbelianInvariants.free(2), Z)
-    return (Z,) + middle + (Z,)
+    if n == 0:
+        return (_Z, _Z, _Z2, _Z, _Z)
+    h = AbelianInvariants.cyclic(n)  # H1 = H2 = Z/|n|
+    return (_Z, h, h, _TRIVIAL, _Z)
 
 
 @dataclass(frozen=True)
@@ -256,10 +255,9 @@ def surgery_invariants(
     enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
         # H1 is Z or Z/|n| with |n| >= 2, never trivial: it is the obstruction
+        h1 = str(homology[1])
         verdict = Verdict(
-            "NotHomotopySphere",
-            n,
-            detail=f"H1 = {homology[1]}, H2 = {homology[2]} (obstruction {homology[1]})",
+            "NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {homology[2]} (obstruction {h1})"
         )
     else:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in

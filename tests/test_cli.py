@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from pochette import cli
-from pochette.cli import _render_text, _sweep_slopes, main
+from pochette.cli import _json, _render_text, _sweep_slopes, main
 
 
 Z6 = str(Path(__file__).parent / "corpus" / "z6.txt")
@@ -47,6 +48,43 @@ class TestRenderText:
             "none: null", "yes: true", "no: false", "neg: -3", "zero: 0",
             "float: 2.5", "whole_float: 12.0", "dict: {}", "list: []", "text: null",
         ]
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()  # nan and +-inf included
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJson:
+    @given(JSON_VALUES)
+    @example({})
+    @example({"rows": [], "witness": None, "membership": {}})
+    @example({"\u00e9\n\"\\": ["\u2028", "\x00", "\U0001f600", 2**64 + 1, -(2**70)]})
+    @example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300])
+    @example({"rows": [{"p": 1, "q": [2, {"r": []}]}, [[[]]]]})
+    @settings(max_examples=500, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        # an interpreter without json's C accelerator encodes in Python
+        value = {"rows": [{"p": 1, "h1": "Z/2", "pi1_index": None}], "x": [1.5, "\u00e9"]}
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        cli._scalars_encoder.cache_clear()
+        try:
+            assert _json(value) == json.dumps(value, indent=2)
+        finally:
+            cli._scalars_encoder.cache_clear()
 
 
 class TestCword:
@@ -235,7 +273,7 @@ class TestSweep:
                 calls.append((self.max_workers, chunksize))
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         if affinity is None:
             monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
@@ -345,6 +383,23 @@ class TestAbelianize:
         path.write_text("n: 2\nband: x1 1 2\nband: z9 2 3\n")
         code, out, err = run_cli(capsys, "abelianize", f"fusion:{path}")
         assert (code, out, err) == (2, "", "error: line 3: unknown generator 'z9'\n")
+
+    @pytest.mark.parametrize(
+        "band, error",
+        [
+            ("x2 2 9", "band endpoint out of range: (2, 9)"),
+            ("x2 2 2", "band may not join disk 2 to itself"),
+            # a letter beyond x(n+1) is no generator of the file's alphabet
+            ("x9 2 3", "unknown generator 'x9'"),
+            ("x2 2 1", "band graph contains a cycle"),
+        ],
+        ids=["endpoint-out-of-range", "disk-joined-to-itself", "letter-outside", "cycle"],
+    )
+    def test_fusion_graph_error_carries_line(self, capsys, tmp_path, band, error):
+        path = tmp_path / "bad.fus"
+        path.write_text(f"n: 2\n# the first band\nband: x1 1 2\n\nband: {band}\n")
+        code, out, err = run_cli(capsys, "abelianize", f"fusion:{path}")
+        assert (code, out, err) == (2, "", f"error: line 5: {error}\n")
 
 
 class TestSimplify:
@@ -488,6 +543,15 @@ class TestBudgetFlags:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_process_pool(self):
+        # only a sweep with --jobs above 1 needs multiprocessing
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pochette.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pochette", "cword", "-p", "2", "-q", "1"],
