@@ -7,6 +7,8 @@ coset bound is a verdict ("no claim"), not an error.
 The method follows the classical presentation in Holt, Eick, O'Brien,
 "Handbook of Computational Group Theory", ch. 5, with definitions made
 at the first undefined (coset, signed generator) pair in scan order.
+A coincidence merges each pair it forces at once (HEO §5.1); whatever
+the order of the merges, it leaves the quotient by the same congruence.
 One sweep over the cosets closes the table (HEO §5.2): coincidence
 processing restores every entry it clears, so a processed coset's row
 stays complete and its scans stay closed.
@@ -86,7 +88,9 @@ def _hlt(
     The table is kept by column, ``cols[lt][coset]``, and each word is
     compiled to its forward columns and to the inverse letters' columns
     for the backward scan, so a scan step is ``f = fw[i][f]``.  Columns
-    grow in place, in chunks, so the compiled lists stay valid.
+    grow in place, in chunks, so the compiled lists stay valid.  A scan
+    defined all the way from its coset only closes or forces a
+    coincidence; an undefined entry sends it on to the backward scan.
     """
     cap = min(max_cosets, 256)
     cols = [[UNDEF] * cap for _ in range(nletters)]
@@ -117,31 +121,15 @@ def _hlt(
     def coincidence(x: int, y: int) -> int:
         """Merge x and y and every coincidence they force; return the merges.
 
-        Merges only happen while pending drains, so a dead coset's
-        representative is fixed while its row is moved.
+        HEO §5.1's COINCIDENCE: each forced pair is merged when it is found,
+        and a dead coset's row moves to its representative, re-read when a
+        merge kills it.  Cosets x and y are live and distinct.
         """
-        merged = 0
-        pending = [(x, y)]
-        dead: list[int] = []
-        head = 0
-        while True:
-            while pending:
-                x, y = pending.pop()
-                if parent[x] != x:
-                    x = rep(x)
-                if parent[y] != y:
-                    y = rep(y)
-                if x == y:
-                    continue
-                if x > y:
-                    x, y = y, x
-                parent[y] = x
-                merged += 1
-                dead.append(y)
-            if head == len(dead):
-                return merged
-            gamma = dead[head]
-            head += 1
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        dead = [y]
+        for gamma in dead:
             mu = rep(gamma)
             for col, inv in pairs:
                 delta = col[gamma]
@@ -149,16 +137,23 @@ def _hlt(
                     continue
                 inv[delta] = UNDEF
                 nu = delta if parent[delta] == delta else rep(delta)
-                image = col[mu]
-                if image != UNDEF:
-                    pending.append((nu, image))
+                x, y = col[mu], nu
+                if x == UNDEF:
+                    x, y = inv[nu], mu
+                    if x == UNDEF:
+                        col[mu] = nu
+                        inv[nu] = mu
+                        continue
+                x = x if parent[x] == x else rep(x)
+                if x == y:
                     continue
-                image = inv[nu]
-                if image != UNDEF:
-                    pending.append((mu, image))
-                else:
-                    col[mu] = nu
-                    inv[nu] = mu
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                dead.append(y)
+                if y == mu:
+                    mu = x
+        return len(dead)
 
     relator_scans = [compile_scan(w) for w in relators]
     # coset 0 never dies, so its first visit scans the subgroup words first
@@ -169,8 +164,19 @@ def _hlt(
     while alpha < n:
         if parent[alpha] == alpha:
             for fw, bw, last in scans:
-                f = b = alpha
-                i = 0
+                f = alpha
+                for i, col in enumerate(fw):
+                    g = col[f]
+                    if g == UNDEF:
+                        break
+                    f = g
+                else:
+                    if f != alpha:
+                        collapses += coincidence(f, alpha)
+                        if parent[alpha] != alpha:
+                            break
+                    continue
+                b = alpha
                 j = last
                 while True:
                     while i <= j:

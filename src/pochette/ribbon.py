@@ -233,7 +233,8 @@ def parse_fusion_file(text: str) -> FusionData:
 
     Each band line is ``band: <word> <i> <j>`` with the last two tokens
     the disk indices; the word may contain spaces.  Comments start with
-    '#'; blank lines are ignored.  An error in one band names its line.
+    '#'; blank lines are ignored.  An error in one band names its line,
+    and an error in the count or the number of bands that of ``n:``.
     """
     n: int | None = None
     bands: list[tuple[Word, int, int]] = []
@@ -246,6 +247,7 @@ def parse_fusion_file(text: str) -> FusionData:
         if line.startswith("n:"):
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate n: line")
+            n_line = lineno
             try:
                 n = int(line[len("n:"):].strip())
             except ValueError as exc:
@@ -276,9 +278,8 @@ def parse_fusion_file(text: str) -> FusionData:
     try:
         return FusionData(n, tuple(bands))
     except InvalidFusionGraph as exc:
-        if exc.band is None:
-            raise
-        raise InvalidFusionGraph(f"line {band_lines[exc.band]}: {exc}") from exc
+        line = n_line if exc.band is None else band_lines[exc.band]
+        raise InvalidFusionGraph(f"line {line}: {exc}") from exc
 
 
 def format_fusion(f: FusionData) -> str:

@@ -536,8 +536,10 @@ def hlt_oracle(
 ) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
     """The earlier HLT kernel: a row per coset, ``table[coset][letter]``.
 
-    Matched by ``coset_enum._hlt`` definition for definition and
-    coincidence for coincidence.
+    Matched by ``coset_enum._hlt`` definition for definition, and in the
+    partition and table after each coincidence.  It defers the merges a
+    coincidence forces to a pending stack, where ``_hlt`` makes each at
+    once, so it shows that the order of the merges does not matter.
 
     Returns (rows, defined, collapses); rows is None when the coset
     bound was hit.  On success rows is the closed table over the live

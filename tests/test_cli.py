@@ -401,6 +401,21 @@ class TestAbelianize:
         code, out, err = run_cli(capsys, "abelianize", f"fusion:{path}")
         assert (code, out, err) == (2, "", f"error: line 5: {error}\n")
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("# header\nn: 0\n", "line 2: fusion count must be at least 1"),
+            ("# header\nn: -2\n", "line 2: fusion count must be at least 1"),
+            ("# header\n\nn: 2\nband: x1 1 2\n", "line 3: expected 2 bands, got 1"),
+        ],
+        ids=["zero-count", "negative-count", "too-few-bands"],
+    )
+    def test_fusion_count_error_carries_the_n_line(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.fus"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "abelianize", f"fusion:{path}")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
 
 class TestSimplify:
     def test_collapses_to_empty(self, capsys, tmp_path):

@@ -131,15 +131,21 @@ class TestEnumerate:
 
 
 @st.composite
-def coded_presentations(draw, subgroup_words):
-    """(nletters, relators, subgroup) over 2 or 3 generators, letters coded as ints."""
+def coded_presentations(draw, subgroup_words, subgroup_letters=4, long_relator=0):
+    """(nletters, relators, subgroup) over 2 or 3 generators, letters coded as ints.
+
+    With long_relator, one more relator of up to that many letters comes
+    last, as the surgery relator does in the <m> runs of the S4 branch.
+    """
     nletters = 2 * draw(st.sampled_from((2, 3)))
     letters = st.integers(0, nletters - 1)
     relators = draw(st.lists(
         st.lists(letters, min_size=1, max_size=8).map(tuple), min_size=1, max_size=3
     ))
+    if long_relator:
+        relators.append(tuple(draw(st.lists(letters, min_size=1, max_size=long_relator))))
     subgroup = draw(st.lists(
-        st.lists(letters, min_size=1, max_size=4).map(tuple),
+        st.lists(letters, min_size=1, max_size=subgroup_letters).map(tuple),
         min_size=subgroup_words[0], max_size=subgroup_words[1],
     ))
     return nletters, relators, subgroup
@@ -158,8 +164,10 @@ def by_column(result):
 class TestKernelAgainstOracle:
     """The column kernel matches the row-per-coset kernel it replaced.
 
-    Equal (table, defined, collapses) means every definition and every
-    coincidence happened in the same order.
+    Equal (table, defined, collapses) means the same definitions in the
+    same order, and the same partition and table after each coincidence,
+    though the kernel merges each forced pair at once and the oracle
+    defers them to its pending stack.
     """
 
     def check(self, nletters, relators, subgroup, max_cosets=2000):
@@ -185,7 +193,17 @@ class TestKernelAgainstOracle:
     @given(coded_presentations(subgroup_words=(1, 2)))
     @settings(max_examples=150, deadline=None)
     @example((4, [(0, 0), (2, 2), (0, 2, 0, 2, 0, 2)], [(0,)]))  # S3 over <a>
+    # <a, b | b> over <a^-2 b a>: coset 2 dies into 1, and moving its row
+    # merges 1 into 0, so the moved row's representative dies mid-row
+    @example((4, [(2,)], [(1, 1, 2, 0)]))
     def test_random_presentations_with_subgroup(self, case):
+        self.check(*case)
+
+    @given(coded_presentations(subgroup_words=(1, 1), subgroup_letters=1, long_relator=40))
+    @settings(max_examples=100, deadline=None)
+    def test_random_meridian_runs(self, case):
+        # one long relator and a one-letter subgroup word, the shape of the
+        # <m> runs, so a coincidence can cascade along a long scan
         self.check(*case)
 
     def test_spun_trefoil_meridian_runs(self):
