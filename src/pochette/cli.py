@@ -259,12 +259,13 @@ def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tu
 def _sweep_worker(job: tuple) -> dict:
     data, p, q, epsilon, budgets = job
     inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), budgets)
+    h1 = str(inv.homology[1])
     return {
         "p": p,
         "q": q,
         "p_plus_q_ell": inv.p_plus_q_ell,
-        "h1": str(inv.homology[1]),
-        "h2": str(inv.homology[2]),
+        "h1": h1,
+        "h2": h1 if inv.homology[2] is inv.homology[1] else str(inv.homology[2]),
         "verdict": inv.verdict.kind,
         "pi1_index": inv.verdict.pi1_index,
     }

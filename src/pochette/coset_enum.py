@@ -12,6 +12,8 @@ the order of the merges, it leaves the quotient by the same congruence.
 One sweep over the cosets closes the table (HEO §5.2): coincidence
 processing restores every entry it clears, so a processed coset's row
 stays complete and its scans stay closed.
+A scan of a freely reduced word whose two ends differ defines its whole
+gap in one run: the scan loop's definitions, in its order (see ``_hlt``).
 While it runs the table is kept by column, one list per signed letter
 indexed by coset, and every relator and subgroup word is compiled once
 to its lists of columns.  The statistics a report prints (cosets
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import compress, count, repeat
 from math import inf
-from operator import eq
+from operator import eq, xor
 
 from .abelian import AbelianInvariants, stabilizer_invariants
 from .budgets import Budgets
@@ -91,6 +93,12 @@ def _hlt(
     grow in place, in chunks, so the compiled lists stay valid.  A scan
     defined all the way from its coset only closes or forces a
     coincidence; an undefined entry sends it on to the backward scan.
+
+    A scan of a freely reduced word (``compile_scan`` marks it) that stops
+    at ends f != b defines its gap word[i:j] in one run, then deduces
+    f.word[j] = b.  A new coset's row holds only word[k]^-1, so the loop
+    would stop at it again, and no entry of the run is in b's row: so the
+    loop makes the same definitions, and overflows at the same bound.
     """
     cap = min(max_cosets, 256)
     cols = [[UNDEF] * cap for _ in range(nletters)]
@@ -100,7 +108,8 @@ def _hlt(
     collapses = 0
 
     def compile_scan(word: tuple[int, ...]):
-        return [cols[lt] for lt in word], [cols[lt ^ 1] for lt in word], len(word) - 1
+        reduced = not any(map(eq, word[1:], map(xor, word, repeat(1))))
+        return [cols[lt] for lt in word], [cols[lt ^ 1] for lt in word], len(word) - 1, reduced
 
     def grow():
         extra = min(cap, max_cosets - cap)
@@ -130,17 +139,18 @@ def _hlt(
         parent[y] = x
         dead = [y]
         for gamma in dead:
-            mu = rep(gamma)
+            mu = parent[gamma]
+            mu = mu if parent[mu] == mu else rep(mu)
             for col, inv in pairs:
                 delta = col[gamma]
-                if delta == UNDEF:
+                if delta < 0:
                     continue
                 inv[delta] = UNDEF
                 nu = delta if parent[delta] == delta else rep(delta)
                 x, y = col[mu], nu
-                if x == UNDEF:
+                if x < 0:
                     x, y = inv[nu], mu
-                    if x == UNDEF:
+                    if x < 0:
                         col[mu] = nu
                         inv[nu] = mu
                         continue
@@ -163,11 +173,11 @@ def _hlt(
     alpha = 0
     while alpha < n:
         if parent[alpha] == alpha:
-            for fw, bw, last in scans:
+            for fw, bw, last, reduced in scans:
                 f = alpha
                 for i, col in enumerate(fw):
                     g = col[f]
-                    if g == UNDEF:
+                    if g < 0:
                         break
                     f = g
                 else:
@@ -181,7 +191,7 @@ def _hlt(
                 while True:
                     while i <= j:
                         g = fw[i][f]
-                        if g == UNDEF:
+                        if g < 0:
                             break
                         f = g
                         i += 1
@@ -191,7 +201,7 @@ def _hlt(
                         break
                     while j >= i:
                         g = bw[j][b]
-                        if g == UNDEF:
+                        if g < 0:
                             break
                         b = g
                         j -= 1
@@ -201,6 +211,20 @@ def _hlt(
                     if j == i:
                         fw[i][f] = b
                         bw[i][b] = f
+                        break
+                    if reduced and f != b:
+                        # the gap in one run: the loop's definitions (see the docstring)
+                        if n + j - i > max_cosets:
+                            return None, max_cosets, collapses
+                        while cap < n + j - i:
+                            cap = grow()
+                        for k in range(i, j):
+                            fw[k][f] = n
+                            bw[k][n] = f
+                            f = n
+                            n += 1
+                        fw[j][f] = b
+                        bw[j][b] = f
                         break
                     # define f.word[i] as a new coset
                     if n >= max_cosets:
@@ -215,7 +239,7 @@ def _hlt(
             scans = relator_scans
             if parent[alpha] == alpha:
                 for col, inv in pairs:
-                    if col[alpha] == UNDEF:
+                    if col[alpha] < 0:
                         if n >= max_cosets:
                             return None, n, collapses
                         if n == cap:

@@ -255,10 +255,10 @@ def surgery_invariants(
     enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
         # H1 is Z or Z/|n| with |n| >= 2, never trivial: it is the obstruction
+        # surgery_homology gives one object for H1 and H2 whenever n != 0
         h1 = str(homology[1])
-        verdict = Verdict(
-            "NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {homology[2]} (obstruction {h1})"
-        )
+        h2 = h1 if homology[2] is homology[1] else str(homology[2])
+        verdict = Verdict("NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {h2} (obstruction {h1})")
     else:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in
         # about 4p cosets, where the trivial subgroup needs about 2p^2.

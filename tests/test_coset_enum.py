@@ -130,23 +130,39 @@ class TestEnumerate:
             enumerate_cosets(parse_presentation("gens: x\nrels: x"), max_cosets=0)
 
 
+def freely_reduced(first, steps):
+    """A freely reduced word: ``first``, then one letter per step, chosen
+    among the letters that are not the inverse of the letter before it."""
+    word = [first]
+    for step in steps:
+        word.append(step + (step >= word[-1] ^ 1))
+    return tuple(word)
+
+
 @st.composite
-def coded_presentations(draw, subgroup_words, subgroup_letters=4, long_relator=0):
+def coded_presentations(draw, subgroup_words, subgroup_letters=4, long_relator=0, reduced=False):
     """(nletters, relators, subgroup) over 2 or 3 generators, letters coded as ints.
 
     With long_relator, one more relator of up to that many letters comes
     last, as the surgery relator does in the <m> runs of the S4 branch.
+    Letters are drawn independently, so a long word is rarely freely
+    reduced; with reduced, no letter is the inverse of the one before it,
+    as in the words ``enumerate_cosets`` passes.
     """
     nletters = 2 * draw(st.sampled_from((2, 3)))
     letters = st.integers(0, nletters - 1)
-    relators = draw(st.lists(
-        st.lists(letters, min_size=1, max_size=8).map(tuple), min_size=1, max_size=3
-    ))
+
+    def words(max_size):
+        if reduced:
+            steps = st.lists(st.integers(0, nletters - 2), max_size=max_size - 1)
+            return st.builds(freely_reduced, letters, steps)
+        return st.lists(letters, min_size=1, max_size=max_size).map(tuple)
+
+    relators = draw(st.lists(words(8), min_size=1, max_size=3))
     if long_relator:
-        relators.append(tuple(draw(st.lists(letters, min_size=1, max_size=long_relator))))
+        relators.append(draw(words(long_relator)))
     subgroup = draw(st.lists(
-        st.lists(letters, min_size=1, max_size=subgroup_letters).map(tuple),
-        min_size=subgroup_words[0], max_size=subgroup_words[1],
+        words(subgroup_letters), min_size=subgroup_words[0], max_size=subgroup_words[1]
     ))
     return nletters, relators, subgroup
 
@@ -167,7 +183,13 @@ class TestKernelAgainstOracle:
     Equal (table, defined, collapses) means the same definitions in the
     same order, and the same partition and table after each coincidence,
     though the kernel merges each forced pair at once and the oracle
-    defers them to its pending stack.
+    defers them to its pending stack, and the kernel defines a scan's
+    whole gap in one run where the oracle defines one coset per trip
+    round its scan loop.  The kernel takes that run only on a freely
+    reduced word, so each shape is drawn twice: from independent
+    letters, which rarely give a long reduced word and so test the
+    one-at-a-time fallback, and with ``reduced``, which tests the runs.
+    A case may carry its own max_cosets as a fourth entry.
     """
 
     def check(self, nletters, relators, subgroup, max_cosets=2000):
@@ -204,6 +226,39 @@ class TestKernelAgainstOracle:
     def test_random_meridian_runs(self, case):
         # one long relator and a one-letter subgroup word, the shape of the
         # <m> runs, so a coincidence can cascade along a long scan
+        self.check(*case)
+
+    @given(coded_presentations(subgroup_words=(0, 0), reduced=True))
+    @settings(max_examples=100, deadline=None)
+    # <a, b | a^600, b>: after one definition the scan of a^600 from coset 0
+    # defines cosets 2..599 in one run, across two growths of the columns,
+    # at 256 and 512; check() also runs it at exactly 600 cosets and at 599
+    @example((4, [(0,) * 600, (2,)], []))
+    # <a, b | a^5, b>: the run of a^5 ends at exactly 5 cosets, the budget,
+    # and the table closes; at 4 the run overflows by one and reports 4
+    @example((4, [(0,) * 5, (2,)], [], 5))
+    @example((4, [(0,) * 5, (2,)], [], 4))
+    # <a, b | a b a^-1, a^3>: the scan of a b a^-1 from coset 0 has f = b;
+    # defining 0.a fills the backward entry, so the gap is no run
+    @example((4, [(0, 2, 1), (0, 0, 0)], []))
+    # <a, b | b, a a a^-1 a a>: past the first definition f != b, but the
+    # word is not freely reduced, so its gap is defined one coset at a time
+    @example((4, [(2,), (0, 0, 1, 0, 0)], []))
+    def test_random_reduced_presentations(self, case):
+        self.check(*case)
+
+    @given(coded_presentations(subgroup_words=(1, 2), reduced=True))
+    @settings(max_examples=100, deadline=None)
+    def test_random_reduced_presentations_with_subgroup(self, case):
+        self.check(*case)
+
+    @given(coded_presentations(
+        subgroup_words=(1, 1), subgroup_letters=1, long_relator=40, reduced=True
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_random_reduced_meridian_runs(self, case):
+        # the long relator of the <m> runs is freely reduced, so its gaps
+        # are defined in runs
         self.check(*case)
 
     def test_spun_trefoil_meridian_runs(self):
