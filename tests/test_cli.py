@@ -651,3 +651,130 @@ def test_source_not_utf8_is_input_error(capsys, monkeypatch, tmp_path, source, k
     code, out, err = run_cli(capsys, "abelianize", source)
     message = f"cannot read {kind} file 'bad.txt': {decoding.value}"
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _site(site, message, *argv, files=None, env=None):
+    """A row of the input-error table: one raise site, the argv and files that reach it."""
+    return pytest.param(argv, files or {}, env or {}, message, id=site)
+
+
+_FREE = {"free.txt": "gens: x, y\nrels:\n"}
+_FUSION_GRAPH_ROWS = [
+    ("band: x2 2 9", "band endpoint out of range: (2, 9)", "endpoint-out-of-range"),
+    ("band: x2 2 2", "band may not join disk 2 to itself", "disk-joined-to-itself"),
+    ("band: x2 2 1", "band graph contains a cycle", "cycle"),
+    ("band: z9 2 3", "unknown generator 'z9'", "word"),
+    ("band: x2 3", "expected 'band: <word> <i> <j>'", "band-shape"),
+    ("band: x2 a 3", "bad disk indices", "disk-indices"),
+    ("bands: x2 2 3", "unrecognized line 'bands: x2 2 3'", "unrecognized-line"),
+    ("n: 2", "duplicate n: line", "duplicate-n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files, env, message",
+    [
+        # words
+        _site("words-malformed-factor", "malformed factor '^2' at position 2",
+              "enumerate", "spun-trefoil", "--subgroup=x ^2"),
+        _site("words-leading-zero", "malformed factor 'x^01' at position 2",
+              "enumerate", "spun-trefoil", "--subgroup=y x^01"),
+        _site("words-zero-exponent", "zero exponent at position 2",
+              "enumerate", "spun-trefoil", "--subgroup=y x^0"),
+        _site("words-unknown-generator", "unknown generator 'z'",
+              "cordcheck", "spun-trefoil", "--cord=z"),
+        # presentations, each file read by abelianize
+        _site("presentations-duplicate-gens", "line 2: duplicate gens: line",
+              "abelianize", "p.txt", files={"p.txt": "gens: x\ngens: y\nrels:\n"}),
+        _site("presentations-duplicate-rels", "line 3: duplicate rels: line",
+              "abelianize", "p.txt", files={"p.txt": "gens: x\nrels: x\nrels: x^2\n"}),
+        _site("presentations-unrecognized-line", "line 2: unrecognized line 'stuff'",
+              "abelianize", "p.txt", files={"p.txt": "gens: x\nstuff\nrels:\n"}),
+        _site("presentations-missing-gens", "presentation text is missing a 'gens:' line",
+              "abelianize", "p.txt", files={"p.txt": "rels: x\n"}),
+        _site("presentations-missing-rels", "presentation text is missing a 'rels:' line",
+              "abelianize", "p.txt", files={"p.txt": "gens: x\n"}),
+        _site("presentations-generator-name", "line 2: bad generator name '2x'",
+              "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, 2x\nrels:\n"}),
+        _site("presentations-relator-column", "line 2: column 10: unknown generator 'z'",
+              "abelianize", "p.txt", files={"p.txt": "gens: x\nrels: x ; z\n"}),
+        _site("presentations-duplicate-generator",
+              "line 4: duplicate generator names in ['x', 'x']",
+              "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, x\n\nrels: x\n"}),
+        # surgery
+        _site("surgery-slope-zero-zero", "slope (0, 0) is not allowed",
+              "surger", "spun-trefoil", "--slope=0/0"),
+        _site("surgery-not-coprime", "slope (2, 4) is not coprime",
+              "cword", "-p", "2", "-q", "4"),
+        _site("surgery-slope-zero-word",
+              "slope 0/1 has no slope word; the surgery relator is the longitude",
+              "cword", "-p", "0", "-q", "1"),
+        _site("surgery-abelianization", "knot group abelianization is not infinite cyclic",
+              "surger", "free.txt", "--meridian=x", "--longitude=y", "--slope=1/2",
+              files=_FREE),
+        _site("surgery-meridian-image", "meridian 'y^2' does not generate the abelianization",
+              "surger", "spun-trefoil", "--meridian=y^2", "--slope=1/2"),
+        # ribbon: a fusion file's errors name their line
+        *[
+            _site(f"ribbon-{site}", f"line 5: {error}",
+                  "abelianize", "fusion:f.fus",
+                  files={"f.fus": f"n: 2\n# the first band\nband: x1 1 2\n\n{line}\n"})
+            for line, error, site in _FUSION_GRAPH_ROWS
+        ],
+        _site("ribbon-fusion-count", "line 2: fusion count must be at least 1",
+              "abelianize", "fusion:f.fus", files={"f.fus": "# header\nn: 0\n"}),
+        _site("ribbon-band-count", "line 1: expected 2 bands, got 1",
+              "abelianize", "fusion:f.fus", files={"f.fus": "n: 2\nband: x1 1 2\n"}),
+        _site("ribbon-bad-count", "line 1: bad fusion count",
+              "abelianize", "fusion:f.fus", files={"f.fus": "n: two\n"}),
+        _site("ribbon-band-before-n", "line 1: band: before n:",
+              "abelianize", "fusion:f.fus", files={"f.fus": "band: 1 1 2\nn: 1\n"}),
+        _site("ribbon-missing-n", "fusion file is missing the n: line",
+              "abelianize", "fusion:f.fus", files={"f.fus": "# no bands\n"}),
+        _site("ribbon-generated-count", "fusion count must be at least 1",
+              "gen-fusion", "--n=0"),
+        _site("ribbon-preset-shape", "one-fusion preset must look like one-fusion:<word>:<sign>",
+              "abelianize", "one-fusion:x"),
+        _site("ribbon-preset-sign", "bad sign '2' in one-fusion preset",
+              "abelianize", "one-fusion:x:2"),
+        # cli
+        _site("cli-slope", "slope must look like p/q, got '1/x'",
+              "surger", "spun-trefoil", "--slope=1/x"),
+        _site("cli-unreadable", _unreadable("presentation", "missing.txt"),
+              "abelianize", "missing.txt"),
+        _site("cli-meridian-required", "--meridian is required for presentation file sources",
+              "surger", "free.txt", "--slope=1/2", files=_FREE),
+        _site("cli-range-shape", "range must look like lo:hi, got '1'",
+              "sweep", "spun-trefoil", "--p-range=1", "--q-range=1:2"),
+        _site("cli-range-bounds", "range bounds must be integers: 'a:b'",
+              "sweep", "spun-trefoil", "--p-range=1:2", "--q-range=a:b"),
+        _site("cli-range-empty", "empty range '3:1'",
+              "sweep", "spun-trefoil", "--p-range=3:1", "--q-range=1:2"),
+        _site("cli-jobs", "--jobs must be at least 1",
+              "sweep", "spun-trefoil", "--p-range=1:2", "--q-range=1:2", "--jobs=0"),
+        _site("cli-max-word-len", "--max-word-len must be at least 0",
+              "gen-fusion", "--n=2", "--max-word-len=-1"),
+        # budgets
+        _site("budgets-least", "max_cosets must be at least 1, got 0",
+              "enumerate", "spun-trefoil", "--max-cosets=0"),
+        _site("budgets-env-integer", "POCHETTE_MAX_COSETS must be an integer, got 'many'",
+              "enumerate", "spun-trefoil", env={"POCHETTE_MAX_COSETS": "many"}),
+    ],
+)
+def test_every_input_error_site(capsys, monkeypatch, tmp_path, argv, files, env, message):
+    """Each raise site of an input error the CLI can reach: exit 2, nothing on
+    stdout, and one stderr line, ``error:`` and the site's full message.
+
+    Sites no argv reaches: the framing check (argparse restricts --framing
+    and --epsilon), an unknown preset name, a fusion sign other than +-1, a
+    band word outside x1..x(n+1) (the file's words are parsed over that
+    alphabet), a relator or embedding word outside its alphabet, a missing
+    substitution image, and a Tietze budget below 1 (Budgets rejects it).
+    """
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

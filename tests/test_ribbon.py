@@ -72,6 +72,13 @@ class TestOneFusion:
         with pytest.raises(InputError):
             one_fusion_presentation(Word(), 2)
 
+    def test_band_word_over_other_letters(self):
+        # the CLI's presets parse the band word over x, y, so only a call reaches this
+        band = parse_word("x z^-1", (X, Generator("z")))
+        with pytest.raises(InputError) as exc:
+            one_fusion_presentation(band, 1)
+        assert str(exc.value) == "band word 'x z^-1' must be over x, y"
+
 
 class TestNFusion:
     def test_one_band_matches_one_fusion(self):
