@@ -94,11 +94,12 @@ def _hlt(
     defined all the way from its coset only closes or forces a
     coincidence; an undefined entry sends it on to the backward scan.
 
-    A scan of a freely reduced word (``compile_scan`` marks it) that stops
-    at ends f != b defines its gap word[i:j] in one run, then deduces
-    f.word[j] = b.  A new coset's row holds only word[k]^-1, so the loop
-    would stop at it again, and no entry of the run is in b's row: so the
-    loop makes the same definitions, and overflows at the same bound.
+    A scan that stops at a gap word[i:j] defines f.word[i] and scans on;
+    on a freely reduced word (``compile_scan`` marks it) with ends f != b
+    it defines the whole gap in one run, then deduces f.word[j] = b.  A
+    new coset's row holds only word[k]^-1, so the loop would stop at it
+    again, and no entry of the run is in b's row: so the loop makes the
+    same definitions, and overflows at the same bound.
     """
     cap = min(max_cosets, 256)
     cols = [[UNDEF] * cap for _ in range(nletters)]
@@ -212,28 +213,24 @@ def _hlt(
                         fw[i][f] = b
                         bw[i][b] = f
                         break
-                    if reduced and f != b:
-                        # the gap in one run: the loop's definitions (see the docstring)
-                        if n + j - i > max_cosets:
-                            return None, max_cosets, collapses
-                        while cap < n + j - i:
-                            cap = grow()
-                        for k in range(i, j):
-                            fw[k][f] = n
-                            bw[k][n] = f
-                            f = n
-                            n += 1
+                    # define f.word[i] as a new coset, or the whole gap in one
+                    # run: the loop's definitions (see the docstring)
+                    run = reduced and f != b
+                    stop = j if run else i + 1
+                    if n + stop - i > max_cosets:
+                        return None, max_cosets, collapses
+                    while cap < n + stop - i:
+                        cap = grow()
+                    for k in range(i, stop):
+                        fw[k][f] = n
+                        bw[k][n] = f
+                        f = n
+                        n += 1
+                    if run:
                         fw[j][f] = b
                         bw[j][b] = f
                         break
-                    # define f.word[i] as a new coset
-                    if n >= max_cosets:
-                        return None, n, collapses
-                    if n == cap:
-                        cap = grow()
-                    fw[i][f] = n
-                    bw[i][n] = f
-                    n += 1
+                    i = stop
                 if parent[alpha] != alpha:
                     break
             scans = relator_scans
