@@ -51,12 +51,9 @@ from .ribbon import (
     spun_trefoil_embedding,
 )
 from .surgery import (
-    MeridianNotGenerator,
-    NotCoprime,
     PochetteEmbeddingData,
     SlopeSpec,
     SurgeryInvariants,
-    UndefinedForSlopeZero,
     Verdict,
     detect_s4,
     linking_number,
@@ -66,13 +63,8 @@ from .surgery import (
     surgery_relator_word,
 )
 from .words import (
-    AlphabetMismatch,
     Generator,
-    MalformedFactor,
-    MissingImage,
-    UnknownGenerator,
     Word,
-    ZeroExponent,
     cyclically_reduce,
     exponent_sum,
     invert,

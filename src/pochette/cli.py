@@ -3,7 +3,9 @@
 Every subcommand except cword and gen-fusion emits a self-contained
 report, as text or JSON carrying identical fields (JSON schema version
 1).  Reports reproduce bit-for-bit across runs except for the wall_ms
-timing field.  Exit code is 0 unless the inputs were invalid;
+timing field.  Exit code is 2 on invalid input, which prints one line
+``error: <message>`` on stderr; 1 when the reader of stdout closes it
+before the report is written, with stderr left empty; and 0 otherwise:
 inconclusive verdicts still exit 0.
 
 Each report subcommand declares its flags once, in ``_build_parser``.
@@ -459,7 +461,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (``| head``): as the signal module's SIGPIPE note
+        # does, point stdout at devnull so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -15,7 +15,6 @@ from operator import itemgetter
 
 from .errors import InputError
 from .words import (
-    AlphabetMismatch,
     Generator,
     Word,
     cyclically_reduce,
@@ -29,8 +28,6 @@ __all__ = [
     "FinitePresentation",
     "PermutationAssignment",
     "assignment_satisfies",
-    "MissingSection",
-    "PresentationParseError",
     "parse_presentation",
     "format_presentation",
     "add_relator",
@@ -38,18 +35,6 @@ __all__ = [
     "tietze_simplify",
     "TietzeResult",
 ]
-
-
-class MissingSection(InputError):
-    def __init__(self, section: str):
-        self.section = section
-        super().__init__(f"presentation text is missing a {section!r} line")
-
-
-class PresentationParseError(InputError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 def _least_rotation(s: tuple) -> tuple:
@@ -106,7 +91,7 @@ class FinitePresentation:
         for rel in self.relators:
             extra = rel.generators() - allowed
             if extra:
-                raise AlphabetMismatch(
+                raise InputError(
                     f"relator {word_to_text(rel)!r} uses generators outside the "
                     f"alphabet: {sorted(g.name for g in extra)}"
                 )
@@ -238,22 +223,22 @@ def parse_presentation(text: str) -> FinitePresentation:
             continue
         if line.startswith("gens:"):
             if gens_line is not None:
-                raise PresentationParseError(lineno, "duplicate gens: line")
+                raise InputError(f"line {lineno}: duplicate gens: line")
             gens_line = (lineno, line[len("gens:"):])
         elif line.startswith("rels:"):
             if rels_line is not None:
-                raise PresentationParseError(lineno, "duplicate rels: line")
+                raise InputError(f"line {lineno}: duplicate rels: line")
             # columns count in the line as written, indentation included
             offset = content.index("rels:") + len("rels:")
             rels_line = (lineno, line[len("rels:"):], offset)
         else:
-            raise PresentationParseError(lineno, f"unrecognized line {line!r}")
+            raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if gens_line is None:
-        raise MissingSection("gens:")
+        raise InputError("presentation text is missing a 'gens:' line")
     if rels_line is None:
-        raise MissingSection("rels:")
+        raise InputError("presentation text is missing a 'rels:' line")
 
-    lineno, gens_text = gens_line
+    gens_lineno, gens_text = gens_line
     alphabet: list[Generator] = []
     for piece in gens_text.split(","):
         name = piece.strip()
@@ -262,7 +247,7 @@ def parse_presentation(text: str) -> FinitePresentation:
         try:
             alphabet.append(Generator(name))
         except InputError as exc:
-            raise PresentationParseError(lineno, str(exc)) from exc
+            raise InputError(f"line {gens_lineno}: {exc}") from exc
 
     lineno, rels_text, offset = rels_line  # offset of the current piece
     relators: list[Word] = []
@@ -271,14 +256,13 @@ def parse_presentation(text: str) -> FinitePresentation:
             try:
                 relators.append(parse_word(piece, alphabet))
             except InputError as exc:
-                raise PresentationParseError(
-                    lineno, f"column {offset + 1}: {exc}"
-                ) from exc
+                raise InputError(f"line {lineno}: column {offset + 1}: {exc}") from exc
         offset += len(piece) + 1
     try:
         return FinitePresentation(tuple(alphabet), tuple(relators))
     except InputError as exc:
-        raise PresentationParseError(lineno, str(exc)) from exc
+        # the relators are words over the alphabet, so the fault is a repeated name
+        raise InputError(f"line {gens_lineno}: {exc}") from exc
 
 
 def format_presentation(P: FinitePresentation) -> str:

@@ -28,14 +28,11 @@ from .budgets import Budgets
 from .coset_enum import EnumerationVerdict, certify_trivial
 from .errors import InputError
 from .presentations import FinitePresentation, add_relator
-from .words import AlphabetMismatch, Generator, Word, substitute, word_to_text
+from .words import Generator, Word, substitute, word_to_text
 
 __all__ = [
     "MERIDIAN_LETTER",
     "LONGITUDE_LETTER",
-    "NotCoprime",
-    "UndefinedForSlopeZero",
-    "MeridianNotGenerator",
     "SlopeSpec",
     "PochetteEmbeddingData",
     "surgery_relator_word",
@@ -59,18 +56,6 @@ EPSILON_NOTE = (
 )
 
 
-class NotCoprime(InputError):
-    pass
-
-
-class UndefinedForSlopeZero(InputError):
-    pass
-
-
-class MeridianNotGenerator(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class SlopeSpec:
     """Coprime slope pair plus mod 2 framing, normalized so p >= 0.
@@ -87,9 +72,9 @@ class SlopeSpec:
             raise InputError(f"framing must be 0 or 1, got {self.epsilon}")
         p, q = self.p, self.q
         if p == 0 and q == 0:
-            raise NotCoprime("slope (0, 0) is not allowed")
+            raise InputError("slope (0, 0) is not allowed")
         if gcd(abs(p), abs(q)) != 1:
-            raise NotCoprime(f"slope ({p}, {q}) is not coprime")
+            raise InputError(f"slope ({p}, {q}) is not coprime")
         if p < 0 or (p == 0 and q < 0):
             p, q = -p, -q
         object.__setattr__(self, "p", p)
@@ -108,9 +93,7 @@ def surgery_relator_word(slope: SlopeSpec) -> Word:
     infinity, which keeps the telescoping true for negative q.
     """
     if slope.p == 0:
-        raise UndefinedForSlopeZero(
-            "slope 0/1 has no slope word; the surgery relator is the longitude"
-        )
+        raise InputError("slope 0/1 has no slope word; the surgery relator is the longitude")
     p, q = slope.p, slope.q
     l_letter = ((LONGITUDE_LETTER, 1 if q > 0 else -1),)  # each block has q's sign
     letters: list[tuple[Generator, int]] = []
@@ -142,18 +125,16 @@ class PochetteEmbeddingData:
         for label, w in (("meridian", self.meridian), ("longitude", self.longitude)):
             extra = w.generators() - allowed
             if extra:
-                raise AlphabetMismatch(
+                raise InputError(
                     f"{label} {word_to_text(w)!r} uses generators outside the "
                     f"knot group alphabet"
                 )
         images = hom_to_Z(self.knot_group)
         if images is None:
-            raise MeridianNotGenerator(
-                "knot group abelianization is not infinite cyclic"
-            )
+            raise InputError("knot group abelianization is not infinite cyclic")
         meridian_image = word_image(images, self.meridian)
         if abs(meridian_image) != 1:
-            raise MeridianNotGenerator(
+            raise InputError(
                 f"meridian {word_to_text(self.meridian)!r} does not generate "
                 f"the abelianization"
             )

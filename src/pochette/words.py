@@ -20,11 +20,6 @@ __all__ = [
     "Generator",
     "Word",
     "IDENTITY",
-    "UnknownGenerator",
-    "MalformedFactor",
-    "ZeroExponent",
-    "AlphabetMismatch",
-    "MissingImage",
     "parse_word",
     "word_to_text",
     "invert",
@@ -35,34 +30,6 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _FACTOR_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?")
-
-
-class UnknownGenerator(InputError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unknown generator {name!r}")
-
-
-class MalformedFactor(InputError):
-    def __init__(self, position: int, text: str):
-        self.position = position
-        super().__init__(f"malformed factor {text!r} at position {position}")
-
-
-class ZeroExponent(InputError):
-    def __init__(self, position: int):
-        self.position = position
-        super().__init__(f"zero exponent at position {position}")
-
-
-class AlphabetMismatch(InputError):
-    pass
-
-
-class MissingImage(InputError):
-    def __init__(self, generator: "Generator"):
-        self.generator = generator
-        super().__init__(f"no image given for generator {generator.name!r}")
 
 
 class Generator:
@@ -177,19 +144,19 @@ def parse_word(text: str, alphabet: Iterable[Generator]) -> Word:
         piece = token.group()
         match = _FACTOR_RE.fullmatch(piece)
         if match is None:
-            raise MalformedFactor(token.start(), piece)
+            raise InputError(f"malformed factor {piece!r} at position {token.start()}")
         exp_text = match.group("exp")
         if exp_text is None:
             exp = 1
         else:
             exp = int(exp_text)
             if exp == 0:
-                raise ZeroExponent(token.start())
+                raise InputError(f"zero exponent at position {token.start()}")
             if exp_text.lstrip("-").startswith("0"):
-                raise MalformedFactor(token.start(), piece)
+                raise InputError(f"malformed factor {piece!r} at position {token.start()}")
         name = match.group("name")
         if name not in by_name:
-            raise UnknownGenerator(name)
+            raise InputError(f"unknown generator {name!r}")
         syllables.append((by_name[name], exp))
     return Word.from_syllables(syllables)
 
@@ -237,7 +204,7 @@ def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
         piece = pieces.get((gen, sign))
         if piece is None:
             if gen not in images:
-                raise MissingImage(gen)
+                raise InputError(f"no image given for generator {gen.name!r}")
             image = images[gen] if sign == 1 else invert(images[gen])
             piece = pieces[gen, sign] = image.letters
         letters.extend(piece)

@@ -44,7 +44,7 @@ from pochette.presentations import (
 )
 from pochette.quotient_search import image_is_cyclic
 from pochette.surgery import SlopeSpec, Verdict, linking_number, surgery_pi1
-from pochette.words import Generator, MissingImage, Word, invert, substitute, word_to_text
+from pochette.words import Generator, Word, invert, substitute, word_to_text
 
 
 def snf_diagonal_oracle(rows: list[list[int]]) -> list[int]:
@@ -322,7 +322,7 @@ def substitute_oracle(w: Word, images) -> Word:
     letters = []
     for gen, sign in w.letters:
         if gen not in images:
-            raise MissingImage(gen)
+            raise InputError(f"no image given for generator {gen.name!r}")
         image = images[gen] if sign == 1 else invert(images[gen])
         letters.extend(image.letters)
     return Word(tuple(letters))

@@ -575,6 +575,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "m l m"
 
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # the report is far larger than a pipe's buffer, so the CLI is still
+        # writing it when the reader leaves
+        with subprocess.Popen(
+            [sys.executable, "-m", "pochette", "sweep", "spun-trefoil",
+             "--p-range=1:39", "--q-range=-40:40", "--format=json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
+
     def test_echoed_command_reproduces_output(self):
         first = subprocess.run(
             [sys.executable, "-m", "pochette", "surger", "spun-trefoil",
@@ -698,8 +711,9 @@ _FUSION_GRAPH_ROWS = [
               "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, 2x\nrels:\n"}),
         _site("presentations-relator-column", "line 2: column 10: unknown generator 'z'",
               "abelianize", "p.txt", files={"p.txt": "gens: x\nrels: x ; z\n"}),
+        # names the gens: line, not the rels: line the parser read last
         _site("presentations-duplicate-generator",
-              "line 4: duplicate generator names in ['x', 'x']",
+              "line 2: duplicate generator names in ['x', 'x']",
               "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, x\n\nrels: x\n"}),
         # surgery
         _site("surgery-slope-zero-zero", "slope (0, 0) is not allowed",
