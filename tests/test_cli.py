@@ -672,7 +672,8 @@ def _site(site, message, *argv, files=None, env=None):
 
 
 _FREE = {"free.txt": "gens: x, y\nrels:\n"}
-_FUSION_GRAPH_ROWS = [
+# line 5 of a fusion file, after a good band: (line, error, site)
+_FUSION_LINE_5 = [
     ("band: x2 2 9", "band endpoint out of range: (2, 9)", "endpoint-out-of-range"),
     ("band: x2 2 2", "band may not join disk 2 to itself", "disk-joined-to-itself"),
     ("band: x2 2 1", "band graph contains a cycle", "cycle"),
@@ -711,7 +712,7 @@ _FUSION_GRAPH_ROWS = [
               "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, 2x\nrels:\n"}),
         _site("presentations-relator-column", "line 2: column 10: unknown generator 'z'",
               "abelianize", "p.txt", files={"p.txt": "gens: x\nrels: x ; z\n"}),
-        # names the gens: line, not the rels: line the parser read last
+        # the error names the gens: line, where the repeated name is
         _site("presentations-duplicate-generator",
               "line 2: duplicate generator names in ['x', 'x']",
               "abelianize", "p.txt", files={"p.txt": "# header\ngens: x, x\n\nrels: x\n"}),
@@ -733,7 +734,7 @@ _FUSION_GRAPH_ROWS = [
             _site(f"ribbon-{site}", f"line 5: {error}",
                   "abelianize", "fusion:f.fus",
                   files={"f.fus": f"n: 2\n# the first band\nband: x1 1 2\n\n{line}\n"})
-            for line, error, site in _FUSION_GRAPH_ROWS
+            for line, error, site in _FUSION_LINE_5
         ],
         _site("ribbon-fusion-count", "line 2: fusion count must be at least 1",
               "abelianize", "fusion:f.fus", files={"f.fus": "# header\nn: 0\n"}),
