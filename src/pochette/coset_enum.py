@@ -91,8 +91,11 @@ def _hlt(
     compiled to its forward columns and to the inverse letters' columns
     for the backward scan, so a scan step is ``f = fw[i][f]``.  Columns
     grow in place, in chunks, so the compiled lists stay valid.  A scan
-    defined all the way from its coset only closes or forces a
-    coincidence; an undefined entry sends it on to the backward scan.
+    first walks forward from its coset, keeping no index: defined all the
+    way, it only closes or forces a coincidence.  At an undefined entry
+    it starts over from its coset, alpha, with i = 0, in the loop of
+    forward, backward and defining steps, whose forward steps re-walk the
+    defined prefix (1.5 letters on average on the order-10752 group).
 
     A scan that stops at a gap word[i:j] defines f.word[i] and scans on;
     on a freely reduced word (``compile_scan`` marks it) with ends f != b
@@ -176,18 +179,19 @@ def _hlt(
         if parent[alpha] == alpha:
             for fw, bw, last, reduced in scans:
                 f = alpha
-                for i, col in enumerate(fw):
-                    g = col[f]
-                    if g < 0:
+                for col in fw:
+                    f = col[f]
+                    if f < 0:
                         break
-                    f = g
                 else:
                     if f != alpha:
                         collapses += coincidence(f, alpha)
                         if parent[alpha] != alpha:
                             break
                     continue
-                b = alpha
+                # the walk kept no index: the loop below re-walks from alpha
+                f = b = alpha
+                i = 0
                 j = last
                 while True:
                     while i <= j:

@@ -171,7 +171,11 @@ class PermutationAssignment:
 
     @cached_property
     def spanning_tree(self) -> tuple[tuple[int, int], ...]:
-        """Per point reached from 0 breadth first, the (point, generator index) that reaches it."""
+        """Per point reached from 0 breadth first, the (point, generator index) that reaches it.
+
+        (needs is_action), as ``columns`` and ``walk`` do: on an image with an
+        undefined entry, -1, it would follow image[-1].
+        """
         reached, walk, tree = {0}, [0], []
         for c in walk:
             for g, image in enumerate(self.images):
@@ -304,36 +308,41 @@ def _subword_rewrite(
     targets, all in ``order``.
     """
     doubled = [P.encode(r) * 2 for r in P.relators]
-    # (target, cut) -> each cyclic substring of that length -> its smallest
-    # start, built on first use and shared by every source and variant
-    starts: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    lengths = [len(r) for r in P.relators]
+    # cut -> per target, each cyclic substring of that length -> its smallest
+    # start; a table is built on first use and shared by every source and
+    # variant, and stays None for a target that no lookup has reached
+    starts: dict[int, list[dict[tuple[int, ...], int] | None]] = {}
     for ri in order:
         r = P.relators[ri]
         targets = [si for si in order if si != ri]
-        longest = max((len(P.relators[si]) for si in targets), default=0)
+        longest = max((lengths[si] for si in targets), default=0)
         # a match u longer than every other relator cannot occur
-        cuts = range(min(len(r), longest), len(r) // 2, -1)
+        cuts = range(min(lengths[ri], longest), lengths[ri] // 2, -1)
         if not cuts:
             continue
         # distinct rotations of r and of r^-1, in first-occurrence order
         bases = (P.encode(r), P.encode(invert(r)))
         variants = dict.fromkeys(b[k:] + b[:k] for b in bases for k in range(len(b)))
         for cut in cuts:
+            # only a target at least cut long can hold u, in the order given
+            fits = [si for si in targets if lengths[si] >= cut]
+            tables = starts.get(cut)
+            if tables is None:
+                tables = starts[cut] = [None] * len(lengths)
             for variant in variants:
                 u = variant[:cut]
-                for si in targets:
-                    length = len(P.relators[si])
-                    if length < cut:
-                        continue
-                    table = starts.get((si, cut))
+                for si in fits:
+                    table = tables[si]
                     if table is None:
-                        table = starts[si, cut] = {}
-                        for start in range(length):
-                            table.setdefault(doubled[si][start : start + cut], start)
+                        table = tables[si] = {}
+                        text = doubled[si]
+                        for start in range(lengths[si]):
+                            table.setdefault(text[start : start + cut], start)
                     start = table.get(u)
                     if start is not None:
                         v_inv = tuple(c ^ 1 for c in reversed(variant[cut:]))
-                        rest = v_inv + doubled[si][start + cut : start + length]
+                        rest = v_inv + doubled[si][start + cut : start + lengths[si]]
                         new = Word(
                             tuple((P.alphabet[c // 2], -1 if c % 2 else 1) for c in rest)
                         )

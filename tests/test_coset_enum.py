@@ -209,6 +209,10 @@ class TestKernelAgainstOracle:
     @given(coded_presentations(subgroup_words=(0, 0)))
     @settings(max_examples=150, deadline=None)
     @example((4, [(0, 0), (2, 2), (0, 2, 0, 2, 0, 2)], []))  # S3
+    # S3 as <a, b | a^3, b^2, (a b)^2>: the scan of (a b)^2 at coset 2 finds
+    # its first two letters defined and the third not, so the backward and
+    # defining loop re-walks that prefix from the coset
+    @example((4, [(0, 0, 0), (2, 2), (0, 2, 0, 2)], []))
     def test_random_presentations(self, case):
         self.check(*case)
 

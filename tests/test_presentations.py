@@ -10,6 +10,7 @@ from pochette.errors import InputError
 from pochette.presentations import (
     FinitePresentation,
     PermutationAssignment,
+    TietzeResult,
     _relator_key,
     add_relator,
     assignment_satisfies,
@@ -345,6 +346,26 @@ class TestTietzeAgainstOracle:
     @settings(max_examples=40, deadline=None)
     def test_fusion_presentations(self, P, budget):
         self.check(P, budget)
+
+    def test_first_target_wins_at_its_smallest_start(self):
+        # x^2, from the source x^3, occurs in both relators of length 6, in
+        # the first at starts 1 and 4: the first rewrites at start 1
+        P = parse_presentation("gens: x, y\nrels: y^2 x^2 y^2 ; x^3 ; y x^2 y^-1 x^2")
+        rewritten = parse_presentation("gens: x, y\nrels: y^2 x^2 y^2 ; x^3 ; x^-1 y^-1 x^2 y")
+        assert tietze_simplify(P, 1) == TietzeResult(rewritten, 1, budget_exhausted=True)
+        self.check(P, 1)
+        self.check(P, 10)
+
+    def test_short_target_skipped_at_long_cuts(self):
+        # x^-2 y is the first source with a match; its first cut, 3, drops
+        # x^-1 y^-1, which its cut 2 then looks up before it matches x^-1 y
+        # in y^2 x^-1.  A match inside x^-1 y^-1 could not come up: that
+        # relator, a source before x^-2 y, would have rewritten x^-2 y first
+        P = parse_presentation("gens: x, y\nrels: x^-1 y^-1 ; x^-2 y ; y^2 x^-1")
+        rewritten = parse_presentation("gens: x, y\nrels: x^-1 y^-1 ; x^-2 y ; x y")
+        assert tietze_simplify(P, 1) == TietzeResult(rewritten, 1, budget_exhausted=True)
+        self.check(P, 1)
+        self.check(P, 10)
 
     @pytest.mark.parametrize("second", ["x y^-1", "x y"], ids=["no-move", "rewrite"])
     def test_two_long_relators(self, second):
