@@ -173,7 +173,7 @@ class PermutationAssignment:
     def spanning_tree(self) -> tuple[tuple[int, int], ...]:
         """Per point reached from 0 breadth first, the (point, generator index) that reaches it.
 
-        (needs is_action), as ``columns`` and ``walk`` do: on an image with an
+        Needs is_action, as ``columns`` and ``walk`` do: on an image with an
         undefined entry, -1, it would follow image[-1].
         """
         reached, walk, tree = {0}, [0], []
@@ -327,9 +327,7 @@ def _subword_rewrite(
         for cut in cuts:
             # only a target at least cut long can hold u, in the order given
             fits = [si for si in targets if lengths[si] >= cut]
-            tables = starts.get(cut)
-            if tables is None:
-                tables = starts[cut] = [None] * len(lengths)
+            tables = starts.setdefault(cut, [None] * len(lengths))
             for variant in variants:
                 u = variant[:cut]
                 for si in fits:
