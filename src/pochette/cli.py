@@ -32,7 +32,7 @@ import shlex
 import sys
 import time
 from dataclasses import fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from pathlib import Path
@@ -62,7 +62,7 @@ from .surgery import (
     surgery_invariants,
     surgery_relator_word,
 )
-from .words import parse_word, word_to_text
+from .words import Word, parse_word, word_to_text
 
 __all__ = ["main"]
 
@@ -227,9 +227,15 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _embedding(P: FinitePresentation, meridian: Word, longitude: Word) -> PochetteEmbeddingData:
+    """The last embedding built, keyed by value: a rewritten file parses to another P."""
+    return PochetteEmbeddingData(P, meridian, longitude)
+
+
 def _surger(args, P, budgets, meridian, longitude):
     args.slope = slope = _parse_slope(args.slope, args.framing)  # echoed as p/q with p >= 0
-    data = PochetteEmbeddingData(P, meridian, longitude)
+    data = _embedding(P, meridian, longitude)
     inv = surgery_invariants(data, slope, budgets)
     return {
         "slope": {"p": slope.p, "q": slope.q, "epsilon": slope.epsilon},
@@ -304,7 +310,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _sweep(args, P, budgets, meridian, longitude):
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    data = PochetteEmbeddingData(P, meridian, longitude)
+    data = _embedding(P, meridian, longitude)
     slopes = _sweep_slopes(_parse_range(args.p_range), _parse_range(args.q_range))
     jobs = [(data, p, q, args.framing, budgets) for p, q in slopes]
     return {

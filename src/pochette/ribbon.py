@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .abelian import hom_to_Z
 from .budgets import Budgets
@@ -128,6 +129,7 @@ def n_fusion_presentation(f: FusionData) -> FinitePresentation:
     return FinitePresentation(gens, tuple(relators))
 
 
+@cache  # a constant: a process parses it once
 def spun_trefoil() -> FinitePresentation:
     return parse_presentation("gens: x, y\nrels: y x^-1 y x y^-1 x")
 

@@ -9,7 +9,8 @@ The homology and the NotHomotopySphere verdict depend only on
 |p + q*linking|, so the surgered group is built on demand: at once on a
 homology 4-sphere, where the verdict comes from coset enumeration, of
 the meridian subgroup <m> alone (see coset_enum.certify_trivial), and
-otherwise on the first read of SurgeryInvariants.pi1.
+otherwise on the first read of SurgeryInvariants.pi1; its relator takes
+one walk of the slope's l-blocks and one free reduction.
 
 The positive verdict is a homeomorphism statement: simple connectivity
 plus the right homology pins down the homeomorphism type of a closed
@@ -28,7 +29,8 @@ from .budgets import Budgets
 from .coset_enum import EnumerationVerdict, certify_trivial
 from .errors import InputError
 from .presentations import FinitePresentation, add_relator
-from .words import Generator, Word, substitute, word_to_text
+from .words import Generator, Letter, Word, invert, word_to_text
+from .words import substitute  # noqa: F401  kept: bench/spans.py wraps it here
 
 __all__ = [
     "MERIDIAN_LETTER",
@@ -84,26 +86,32 @@ class SlopeSpec:
         return f"{self.p}/{self.q}"
 
 
-def surgery_relator_word(slope: SlopeSpec) -> Word:
-    """The word over {m, l} to which the surgery sends the meridian.
+def _slope_word(slope: SlopeSpec, m: tuple[Letter, ...], l: tuple[Letter, ...]) -> Word:
+    """The slope word with each m spelled ``m`` and each l ``l``, reduced once.
 
-    It interleaves p letters m with l-blocks of exponent
+    It interleaves p copies of m with l-blocks of exponent
     floor(k*q/p) - floor((k-1)*q/p), so the exponent sums are exactly p
     and q (the floors telescope).  Floor division rounds toward minus
-    infinity, which keeps the telescoping true for negative q.
+    infinity, which keeps the telescoping true for negative q.  Every
+    block has q's sign, so ``l`` spells l^-1 when q < 0.
     """
-    if slope.p == 0:
-        raise InputError("slope 0/1 has no slope word; the surgery relator is the longitude")
     p, q = slope.p, slope.q
-    l_letter = ((LONGITUDE_LETTER, 1 if q > 0 else -1),)  # each block has q's sign
-    letters: list[tuple[Generator, int]] = []
+    letters: list[Letter] = []
     prev = 0
     for k in range(1, p + 1):
         cur = (k * q) // p
-        letters += l_letter * abs(cur - prev)
-        letters.append((MERIDIAN_LETTER, 1))
+        letters += l * abs(cur - prev)
+        letters += m
         prev = cur
     return Word(tuple(letters))
+
+
+def surgery_relator_word(slope: SlopeSpec) -> Word:
+    """The word over {m, l} to which the surgery sends the meridian."""
+    if slope.p == 0:
+        raise InputError("slope 0/1 has no slope word; the surgery relator is the longitude")
+    l_letter = ((LONGITUDE_LETTER, 1 if slope.q > 0 else -1),)
+    return _slope_word(slope, ((MERIDIAN_LETTER, 1),), l_letter)
 
 
 @dataclass(frozen=True)
@@ -151,15 +159,14 @@ def surgery_pi1(data: PochetteEmbeddingData, slope: SlopeSpec) -> FinitePresenta
     """Knot group with the surgery relator adjoined.
 
     The relator is the slope word with m, l replaced by the meridian and
-    longitude words; at slope 0 the relator is the longitude itself.
+    longitude words, built in one walk of the slope's l-blocks and freely
+    reduced once; at slope 0 the relator is the longitude itself.
     """
     if slope.p == 0:
         extra = data.longitude
     else:
-        extra = substitute(
-            surgery_relator_word(slope),
-            {MERIDIAN_LETTER: data.meridian, LONGITUDE_LETTER: data.longitude},
-        )
+        longitude = data.longitude if slope.q > 0 else invert(data.longitude)
+        extra = _slope_word(slope, data.meridian.letters, longitude.letters)
     return add_relator(data.knot_group, extra)
 
 

@@ -13,8 +13,10 @@ The exceptions are earlier versions of package code, kept as the
 references the current code must match, so they build the package's
 own presentations, words and verdicts: ``tietze_simplify_oracle`` (the
 earlier Tietze program, matched move for move), ``substitute_oracle``
-(one inversion per letter), ``s4_verdict_regular_oracle`` (the S4
-verdict from regular coset enumeration alone),
+(one inversion per letter), ``surgery_relator_oracle`` (the surgery
+relator as the slope word over {m, l}, substituted),
+``s4_verdict_regular_oracle`` (the S4 verdict from regular coset
+enumeration alone),
 ``cord_kind_membership_first_oracle`` (the cord verdict kind with
 membership run before the quotient search), ``as_meridian_power_oracle``
 (the meridian exponent found by trying every power up to the cord's
@@ -43,7 +45,15 @@ from pochette.presentations import (
     assignment_satisfies,
 )
 from pochette.quotient_search import image_is_cyclic
-from pochette.surgery import SlopeSpec, Verdict, linking_number, surgery_pi1
+from pochette.surgery import (
+    LONGITUDE_LETTER,
+    MERIDIAN_LETTER,
+    SlopeSpec,
+    Verdict,
+    linking_number,
+    surgery_pi1,
+    surgery_relator_word,
+)
 from pochette.words import Generator, Word, invert, substitute, word_to_text
 
 
@@ -326,6 +336,19 @@ def substitute_oracle(w: Word, images) -> Word:
         image = images[gen] if sign == 1 else invert(images[gen])
         letters.extend(image.letters)
     return Word(tuple(letters))
+
+
+def surgery_relator_oracle(data, slope) -> Word:
+    """The surgery relator as it was built: the slope word over {m, l}, its
+    free reduction, then m and l substituted by the meridian and longitude
+    and reduced again; at slope 0 the longitude itself.
+    """
+    if slope.p == 0:
+        return data.longitude
+    return substitute(
+        surgery_relator_word(slope),
+        {MERIDIAN_LETTER: data.meridian, LONGITUDE_LETTER: data.longitude},
+    )
 
 
 def sweep_slopes_oracle(

@@ -195,6 +195,41 @@ class TestSurger:
         assert "epsilon_note" in r0
 
 
+class TestSourceWorkOncePerProcess:
+    """The preset and the last embedding are kept between queries of one process."""
+
+    def test_rewritten_file_is_read_again(self, capsys, tmp_path):
+        path = tmp_path / "knot.txt"
+        argv = ("surger", str(path), "--meridian", "x", "--longitude", "y", "--slope", "1/2")
+        path.write_text("gens: x, y\nrels: y x^-1 y x y^-1 x\n")
+        first = run_json(capsys, *argv)
+        path.write_text("gens: x, y\nrels: x y^-1\n")
+        second = run_json(capsys, *argv)
+        assert (first["linking"], first["presentation"]["rels"]) == (
+            -1, "y x^-1 y x y^-1 x ; y^2 x",
+        )
+        assert (second["linking"], second["presentation"]["rels"]) == (1, "x y^-1 ; y^2 x")
+
+    def test_each_longitude_reports_as_a_fresh_process(self, capsys):
+        for longitude in ("y", "x y x", "y"):
+            argv = ("surger", "spun-trefoil", f"--longitude={longitude}", "--slope=1/2")
+            in_process = run_json(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "pochette", *argv, "--format=json"],
+                capture_output=True, text=True,
+            )
+            expected = json.loads(fresh.stdout)
+            in_process.pop("wall_ms"), expected.pop("wall_ms")
+            assert in_process == expected
+
+    def test_errors_are_not_kept(self, capsys):
+        for _ in range(2):
+            code, _, err = run_cli(
+                capsys, "surger", "spun-trefoil", "--meridian", "x^2", "--slope", "1/2"
+            )
+            assert (code, err) == (2, "error: meridian 'x^2' does not generate the abelianization\n")
+
+
 class TestSweep:
     def test_one_fusion_p_over_p_plus_one_family(self, capsys):
         report = run_json(

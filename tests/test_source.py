@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+import pytest
 
 import pochette
 
@@ -67,3 +70,26 @@ def test_no_private_name_crosses_a_module():
         if alias.name.startswith("_")
     ]
     assert crossing == []
+
+
+def test_bench_binding_sites_resolve():
+    # bench/spans.py wraps functions at the module attributes named in its
+    # "pochette.<module>:<name>" strings; one the package no longer binds
+    # would fail every traced benchmark run, so it fails here, by name
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    if not spans.exists():
+        pytest.skip("bench/ is not in this checkout")
+    sites = [
+        node.value
+        for node in ast.walk(ast.parse(spans.read_text(), filename=str(spans)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"pochette\.\w+:\w+", node.value)
+    ]
+    assert sites
+    unbound = []
+    for site in sites:
+        module_name, attribute = site.split(":")
+        if not hasattr(importlib.import_module(module_name), attribute):
+            unbound.append(site)
+    assert unbound == []

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 from math import gcd
 
 import pytest
@@ -32,6 +33,31 @@ from pochette.surgery import (
     surgery_relator_word,
 )
 from pochette.words import Word, exponent_sum, parse_word, substitute, word_to_text
+
+# <x, y | y>: H1 = Z on x.  The meridian x y and longitude y^-1 x^-1 y
+# cancel where they meet: m l = y, and l^-1 l^-1 = y^-1 x^2 y.
+_XY = parse_presentation("gens: x, y\nrels: y")
+CANCELLING = PochetteEmbeddingData(
+    _XY, parse_word("x y", _XY.alphabet), parse_word("y^-1 x^-1 y", _XY.alphabet)
+)
+_SHORT_WORDS = st.lists(
+    st.tuples(st.sampled_from(_XY.alphabet), st.sampled_from((1, -1))), max_size=6
+).map(lambda letters: Word(tuple(letters)))
+EMBEDDINGS = (
+    st.just(CANCELLING)
+    | st.builds(
+        partial(PochetteEmbeddingData, _XY),
+        _SHORT_WORDS.filter(lambda w: abs(exponent_sum(w, _XY.alphabet[0])) == 1),
+        _SHORT_WORDS,
+    )
+    | st.integers(0, 999).map(lambda seed: random_embedding(random.Random(seed)))
+)
+# coprime 0 <= p <= 60, |q| <= 60: p = 0 only with q = +-1, and q = 0 only with p = 1
+SLOPES = (
+    st.tuples(st.integers(0, 60), st.integers(-60, 60))
+    .filter(lambda pq: gcd(*pq) == 1)
+    .map(lambda pq: SlopeSpec(*pq))
+)
 
 Z = AbelianInvariants(1, ())
 TRIVIAL = AbelianInvariants(0, ())
@@ -228,6 +254,19 @@ class TestSurgeryPi1:
         for p in range(1, 5):
             pi1 = surgery_pi1(data, SlopeSpec(p, p + 1))
             assert relators_equivalent(pi1.relators[-1], xs_inv * ((xr * xs_inv) ** p))
+
+    @given(data=EMBEDDINGS, slope=SLOPES)
+    @settings(max_examples=400, deadline=None)
+    @example(data=CANCELLING, slope=SlopeSpec(0, 1))
+    # 5/3 begins with m and ends with m, so add_relator's cyclic reduction
+    # cannot reduce a join the one pass left unreduced
+    @example(data=CANCELLING, slope=SlopeSpec(5, 3))
+    @example(data=CANCELLING, slope=SlopeSpec(5, -6))
+    @example(data=CANCELLING, slope=SlopeSpec(1, 0))
+    def test_relator_matches_substitute_oracle(self, data, slope):
+        # the one-pass relator against the slope word over {m, l}, substituted
+        expected = add_relator(data.knot_group, oracles.surgery_relator_oracle(data, slope))
+        assert surgery_pi1(data, slope).relators == expected.relators
 
 
 class TestSurgeryHomology:
