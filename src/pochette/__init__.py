@@ -9,68 +9,15 @@ permutation quotients as negative certificates where enumeration cannot
 close.
 """
 
-from .abelian import (
-    AbelianInvariants,
-    abelian_invariants,
-    hom_to_Z,
-    word_image,
-)
-from .budgets import Budgets
-from .coset_enum import (
-    EnumerationVerdict,
-    certify_trivial,
-    enumerate_cosets,
-    subgroup_membership,
-)
-from .errors import InputError
-from .presentations import (
-    FinitePresentation,
-    PermutationAssignment,
-    TietzeResult,
-    add_relator,
-    assignment_satisfies,
-    format_presentation,
-    parse_presentation,
-    relators_equivalent,
-    tietze_simplify,
-)
-from .quotient_search import find_noncyclic_quotient, image_is_cyclic
-from .ribbon import (
-    CordVerdict,
-    FusionData,
-    InvalidFusionGraph,
-    cord_triviality,
-    format_fusion,
-    load_preset,
-    n_fusion_presentation,
-    one_fusion_presentation,
-    parse_fusion_file,
-    random_embedding,
-    random_fusion_data,
-    spun_trefoil,
-    spun_trefoil_embedding,
-)
-from .surgery import (
-    PochetteEmbeddingData,
-    SlopeSpec,
-    SurgeryInvariants,
-    Verdict,
-    detect_s4,
-    linking_number,
-    surgery_homology,
-    surgery_invariants,
-    surgery_pi1,
-    surgery_relator_word,
-)
-from .words import (
-    Generator,
-    Word,
-    cyclically_reduce,
-    exponent_sum,
-    invert,
-    parse_word,
-    substitute,
-    word_to_text,
-)
+# each module's __all__ is the public API; cli is the entry point, not API
+from .abelian import *
+from .budgets import *
+from .coset_enum import *
+from .errors import *
+from .presentations import *
+from .quotient_search import *
+from .ribbon import *
+from .surgery import *
+from .words import *
 
 __version__ = "0.1.0"

@@ -178,16 +178,14 @@ def cord_triviality(
 ) -> CordVerdict:
     """Classify a cord's double coset against the trivial class.
 
-    The trivial class pulls back to the meridian subgroup exactly, so
-    membership certified by a closed enumeration settles the question
-    directly.  A two-generator group with H1 = Z whose meridian and cord
-    are the two generators admits a certificate without it: the cord
-    lying in the meridian subgroup would force the whole group to be
-    cyclic, hence infinite cyclic, so any non-cyclic finite quotient rules
-    it out.  There the quotient search runs first, since on knot groups
-    the meridian subgroup has infinite index and the enumeration cannot
-    close; membership runs only when the search finds nothing.  Elsewhere
-    membership runs first, and the search runs once it is refuted.
+    The trivial class pulls back to the meridian subgroup, so a closed
+    enumeration's membership verdict decides it.  When meridian and cord
+    are the generators of a two-generator group with H1 = Z, a trivial
+    cord would make the group Z, so a non-cyclic quotient rules it out.
+    After the visible-power test the quotient search runs first in that
+    shape, where knot groups defeat the enumeration, and membership first
+    elsewhere, each at most once and the search second only after a
+    refutation; a witness ends the run.
     """
     power = _as_meridian_power(cord, meridian)
     if power is not None:
@@ -198,36 +196,33 @@ def cord_triviality(
         and meridian.letters[0][0] != cord.letters[0][0]
         and hom_to_Z(P) is not None
     )
-    membership = witness = None
-    if not two_generator:
-        membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
-    if membership is None or membership.kind == "NotInSubgroup":
-        witness = find_noncyclic_quotient(P, budgets.quotient_degree)
-    if witness is not None:
-        if membership is None:
-            detail = (
-                "a trivial cord would make the two-generator group cyclic, "
-                "contradicting the non-cyclic quotient witness"
-            )
-        else:
-            detail = (
-                "membership refuted by a closed enumeration and the group "
-                "is not infinite cyclic"
-            )
-        return CordVerdict("NontrivialCordCertified", witness, membership, detail)
-    if membership is None:
-        membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
-    if membership.kind == "InSubgroup":
-        detail = f"cord traced into the meridian subgroup (index {membership.index})"
-        return CordVerdict("TrivialCordClass", membership=membership, detail=detail)
-    if membership.kind == "Unknown":
-        detail = f"enumeration overflowed at {budgets.max_cosets} cosets"
-        return CordVerdict("Unknown", membership=membership, detail=detail)
-    detail = (
-        "membership refuted but no non-cyclic quotient found within "
-        f"degree {budgets.quotient_degree}"
-    )
-    return CordVerdict("Unknown", membership=membership, detail=detail)
+    membership = None
+    for step in ("search", "membership") if two_generator else ("membership", "search"):
+        if step == "membership":
+            membership = subgroup_membership(P, [meridian], cord, budgets.max_cosets)
+        elif membership is None or membership.kind == "NotInSubgroup":
+            if witness := find_noncyclic_quotient(P, budgets.quotient_degree):
+                detail = (
+                    "a trivial cord would make the two-generator group cyclic, "
+                    "contradicting the non-cyclic quotient witness"
+                    if two_generator
+                    else "membership refuted by a closed enumeration and the group "
+                    "is not infinite cyclic"
+                )
+                return CordVerdict("NontrivialCordCertified", witness, membership, detail)
+    kind, detail = {
+        "InSubgroup": (
+            "TrivialCordClass",
+            f"cord traced into the meridian subgroup (index {membership.index})",
+        ),
+        "Unknown": ("Unknown", f"enumeration overflowed at {budgets.max_cosets} cosets"),
+        "NotInSubgroup": (
+            "Unknown",
+            "membership refuted but no non-cyclic quotient found within "
+            f"degree {budgets.quotient_degree}",
+        ),
+    }[membership.kind]
+    return CordVerdict(kind, membership=membership, detail=detail)
 
 
 def parse_fusion_file(text: str) -> FusionData:

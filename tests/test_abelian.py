@@ -121,6 +121,11 @@ class TestAbelianInvariants:
         with pytest.raises(ValueError):
             AbelianInvariants(0, (1,))
 
+    def test_free_rank_validated(self):
+        with pytest.raises(ValueError) as exc:
+            AbelianInvariants(-1, ())
+        assert str(exc.value) == "free rank must be nonnegative"
+
     def test_describe(self):
         assert str(AbelianInvariants(0, ())) == "0"
         assert str(AbelianInvariants(1, ())) == "Z"

@@ -163,6 +163,10 @@ class TestConstruction:
             "relator 'x y' uses generators outside the alphabet: ['y']"
         )
 
+    def test_str_is_the_text_format(self):
+        text = "gens: x, y\nrels: x^2 ; x y x^-1 y^-1"
+        assert str(parse_presentation(text)) == text
+
     def test_same_length_inequivalent_relators_kept(self):
         P = FinitePresentation((X, Y), (w("x y"), w("x y^-1"), w("y x"), w("y x^-1")))
         assert P.relators == (w("x y"), w("x y^-1"))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from pochette import ribbon
 from pochette.abelian import AbelianInvariants, abelian_invariants
 from pochette.budgets import Budgets
 from pochette.coset_enum import certify_trivial
@@ -234,6 +235,92 @@ class TestCordTriviality:
         assert _as_meridian_power(cord, meridian) == oracles.as_meridian_power_oracle(
             cord, meridian
         )
+
+    DIHEDRAL_8 = FinitePresentation((X, Y), (w("y^2"), w("x y x y"), w("x^4")))
+    TWO_WITNESS = (
+        "a trivial cord would make the two-generator group cyclic, "
+        "contradicting the non-cyclic quotient witness"
+    )
+    REFUTED_WITNESS = (
+        "membership refuted by a closed enumeration and the group is not infinite cyclic"
+    )
+
+    @pytest.mark.parametrize(
+        "P, cord, budgets, calls, kind, detail",
+        [
+            (
+                spun_trefoil(),
+                "y",
+                Budgets(quotient_degree=3),
+                [("search", True)],
+                "NontrivialCordCertified",
+                TWO_WITNESS,
+            ),
+            (
+                FinitePresentation((X, Y), (w("x y^-1"),)),
+                "y",
+                Budgets(),
+                [("search", False), ("membership", "InSubgroup")],
+                "TrivialCordClass",
+                "cord traced into the meridian subgroup (index 1)",
+            ),
+            (
+                DIHEDRAL_8,
+                "y x y^-1",
+                Budgets(max_cosets=2000, quotient_degree=4),
+                [("membership", "InSubgroup")],
+                "TrivialCordClass",
+                "cord traced into the meridian subgroup (index 2)",
+            ),
+            (
+                DIHEDRAL_8,
+                "y",
+                Budgets(max_cosets=2000, quotient_degree=4),
+                [("membership", "NotInSubgroup"), ("search", True)],
+                "NontrivialCordCertified",
+                REFUTED_WITNESS,
+            ),
+            (
+                FinitePresentation((X, Y), (w("x^2"), w("y^3"), w("x y x^-1 y^-1"))),
+                "y",
+                Budgets(max_cosets=2000, quotient_degree=6),
+                [("membership", "NotInSubgroup"), ("search", False)],
+                "Unknown",
+                "membership refuted but no non-cyclic quotient found within degree 6",
+            ),
+            (
+                FinitePresentation((X, Y), ()),
+                "y",
+                Budgets(max_cosets=200, quotient_degree=3),
+                [("membership", "Unknown")],
+                "Unknown",
+                "enumeration overflowed at 200 cosets",
+            ),
+        ],
+        ids=["spun-trefoil", "Z", "D8-member", "D8-witness", "Z6", "free"],
+    )
+    def test_certificate_order(self, monkeypatch, P, cord, budgets, calls, kind, detail):
+        # each certificate runs at most once, in the order the two-generator
+        # test picks, and a witness ends the run
+        seen = []
+        membership = ribbon.subgroup_membership
+        search = ribbon.find_noncyclic_quotient
+
+        def counted_membership(*args):
+            result = membership(*args)
+            seen.append(("membership", result.kind))
+            return result
+
+        def counted_search(*args):
+            result = search(*args)
+            seen.append(("search", result is not None))
+            return result
+
+        monkeypatch.setattr(ribbon, "subgroup_membership", counted_membership)
+        monkeypatch.setattr(ribbon, "find_noncyclic_quotient", counted_search)
+        verdict = cord_triviality(P, w("x"), w(cord), budgets)
+        assert seen == calls
+        assert (verdict.kind, verdict.detail) == (kind, detail)
 
     def test_certificate_stability_across_budgets(self):
         P = spun_trefoil()

@@ -171,6 +171,16 @@ class TestAlgebra:
         mlm = parse_word("m l m", [m, l])
         assert substitute(mlm, {m: w("x"), l: w("x^-1")}) == w("x")
 
+    def test_str(self):
+        assert str(X) == "x"
+        assert str(w("x^2 y^-1")) == "x^2 y^-1"
+        assert str(IDENTITY) == "1"
+
+    def test_letter_sign_must_be_unit(self):
+        with pytest.raises(ValueError) as exc:
+            Word(((X, 1), (Y, 2)))
+        assert str(exc.value) == "letter sign must be +-1, got 2"
+
     def test_missing_image(self):
         with pytest.raises(InputError) as exc:
             substitute(w("x y"), {X: w("x")})
