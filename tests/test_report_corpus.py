@@ -56,6 +56,10 @@ CASES = {
     "sweep-one-fusion-jobs2": (
         "sweep", "one-fusion:x^-1*y:+1", "--p-range=1:6", "--q-range=2:7", "--jobs=2",
     ),
+    # linking number 1 on fusion10: the grid reaches n = 0, whose H2 is Z^2
+    "sweep-fusion10": (
+        "sweep", "fusion:fusion10.txt", "--p-range=1:4", "--q-range=-4:4",
+    ),
     "enumerate-complete": (
         "enumerate", "fusion:fusion3.txt", "--subgroup=x1;x2;x3;x4", "--max-cosets=500",
     ),
