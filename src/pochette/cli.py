@@ -15,10 +15,17 @@ wall_ms times the subcommand's own work: from after the source and its
 words are loaded to the finished report body.
 
 A JSON report is the bytes of ``json.dumps(report, indent=2)``, emitted
-by ``_json``: a container of scalars, such as a sweep row or a verdict,
-goes through json's C encoder in one call, and containers of
-containers are joined by the same indent rules.  Only a sweep with
-more than one job imports the process pool, and with it multiprocessing.
+by ``_json``: a container of scalars, such as a verdict, goes through
+json's C encoder in one call, as do all the rows of a sweep together,
+and containers of containers are joined by the same indent rules.  Only
+a sweep with more than one job imports the process pool, and with it
+multiprocessing.
+
+A process keeps what its queries share.  A presentation or fusion file
+is parsed once per text, keyed by the text just read, and an embedding
+is built once per value.  Off the S^4 branch a sweep row pays only for
+its p + q*linking: surgery builds its homology and verdict once per
+value, and the row's H1 and H2 text is rendered once per group.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import sys
 import time
 from dataclasses import fields
 from functools import cache, lru_cache, partial
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from pathlib import Path
@@ -128,6 +136,17 @@ def _json(value, depth: int = 0) -> str:
         body = ("," + inner).join(
             [f"{encode_basestring_ascii(k)}: {_json(item, depth + 1)}" for k, item in value.items()]
         )
+    elif set(map(type, value)) == {dict} and all(value) and _CONTAINERS.isdisjoint(
+        map(type, chain.from_iterable(map(dict.values, value)))
+    ):
+        # rows, such as a sweep's: non-empty dicts of scalars, in one encoder
+        # call.  JSON escapes a newline in a string, so "},<newline>" then
+        # "{" occurs only between rows, whose brackets get lines of their own
+        row_inner = inner + "  "
+        text = "".join(_scalars_encoder(depth + 1)(value, 0))[2:-2]
+        body = "{" + row_inner + text.replace(
+            "}," + row_inner + "{", inner + "}," + inner + "{" + row_inner
+        ) + inner + "}"
     else:
         body = ("," + inner).join([_json(item, depth + 1) for item in value])
     return f"{opening}{inner}{body}{outer}{closing}"
@@ -156,9 +175,25 @@ def _load_source(source: str) -> tuple[FinitePresentation, str, str]:
     if source == "spun-trefoil" or source.startswith("one-fusion:"):
         return load_preset(source), "x", "y"
     if source.startswith("fusion:"):
-        text = _read(source[len("fusion:"):], "fusion")
-        return n_fusion_presentation(parse_fusion_file(text)), "x1", "x2"
-    return parse_presentation(_read(source, "presentation")), "", ""
+        return _parse(_read(source[len("fusion:"):], "fusion"), True), "x1", "x2"
+    return _parse(_read(source, "presentation"), False), "", ""
+
+
+# a process can load the same few sources many times, as a batch of
+# sweeps does; the parse and embedding caches each keep this many
+_SOURCES_KEPT = 32
+
+
+@lru_cache(maxsize=_SOURCES_KEPT)
+def _parse(text: str, fusion: bool) -> FinitePresentation:
+    """A file source's presentation, keyed by the text just read.
+
+    A file rewritten in place parses again, and a failed parse raises,
+    so it is not cached.
+    """
+    if fusion:
+        return n_fusion_presentation(parse_fusion_file(text))
+    return parse_presentation(text)
 
 
 def _presentation_fields(P: FinitePresentation) -> dict:
@@ -227,9 +262,9 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
     return 0
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_SOURCES_KEPT)
 def _embedding(P: FinitePresentation, meridian: Word, longitude: Word) -> PochetteEmbeddingData:
-    """The last embedding built, keyed by value: a rewritten file parses to another P."""
+    """An embedding, keyed by value: a rewritten file parses to another P."""
     return PochetteEmbeddingData(P, meridian, longitude)
 
 
@@ -264,16 +299,20 @@ def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tu
     ]
 
 
+# a homology group's text; a sweep's rows share a few groups, one per p + q*linking
+_group_text = lru_cache(maxsize=256)(str)
+
+
 def _sweep_worker(job: tuple) -> dict:
     data, p, q, epsilon, budgets = job
     inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), budgets)
-    h1 = str(inv.homology[1])
+    h1 = _group_text(inv.homology[1])
     return {
         "p": p,
         "q": q,
         "p_plus_q_ell": inv.p_plus_q_ell,
         "h1": h1,
-        "h2": h1 if inv.homology[2] is inv.homology[1] else str(inv.homology[2]),
+        "h2": h1 if inv.homology[2] is inv.homology[1] else _group_text(inv.homology[2]),
         "verdict": inv.verdict.kind,
         "pi1_index": inv.verdict.pi1_index,
     }

@@ -6,11 +6,14 @@ this module produces the surgered fundamental group, the linking
 number, the homology table, and a 4-sphere verdict.
 
 The homology and the NotHomotopySphere verdict depend only on
-|p + q*linking|, so the surgered group is built on demand: at once on a
-homology 4-sphere, where the verdict comes from coset enumeration, of
-the meridian subgroup <m> alone (see coset_enum.certify_trivial), and
-otherwise on the first read of SurgeryInvariants.pi1; its relator takes
-one walk of the slope's l-blocks and one free reduction.
+n = p + q*linking.  Both, the verdict's text included, are built once
+per distinct n and kept in bounded per-process caches; the S^4 branch
+|n| = 1 is never cached.  The surgered group is built on demand: at
+once on a homology 4-sphere, where the verdict comes from coset
+enumeration, of the meridian subgroup <m> alone (see
+coset_enum.certify_trivial), and otherwise on the first read of
+SurgeryInvariants.pi1; its relator takes one walk of the slope's
+l-blocks and one free reduction.
 
 The positive verdict is a homeomorphism statement: simple connectivity
 plus the right homology pins down the homeomorphism type of a closed
@@ -22,6 +25,7 @@ by no computation here; it only ever affects the diffeomorphism type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 from .abelian import AbelianInvariants, hom_to_Z, word_image
@@ -175,13 +179,19 @@ _Z2 = AbelianInvariants.free(2)
 _TRIVIAL = AbelianInvariants.free(0)
 
 
-def surgery_homology(linking: int, slope: SlopeSpec) -> tuple[AbelianInvariants, ...]:
-    """Homology H0..H4 of the surgered manifold, from the slope and linking number."""
-    n = slope.p + slope.q * linking
+# n = p + q*linking decides the homology and, off the S^4 branch, the
+# verdict; a sweep meets each n many times, and both values are frozen
+@lru_cache(maxsize=256)
+def _homology(n: int) -> tuple[AbelianInvariants, ...]:
     if n == 0:
         return (_Z, _Z, _Z2, _Z, _Z)
     h = AbelianInvariants.cyclic(n)  # H1 = H2 = Z/|n|
     return (_Z, h, h, _TRIVIAL, _Z)
+
+
+def surgery_homology(linking: int, slope: SlopeSpec) -> tuple[AbelianInvariants, ...]:
+    """Homology H0..H4 of the surgered manifold, from the slope and linking number."""
+    return _homology(slope.p + slope.q * linking)
 
 
 @dataclass(frozen=True)
@@ -230,6 +240,13 @@ class SurgeryInvariants:
         return self._pi1
 
 
+@lru_cache(maxsize=256)
+def _obstruction(n: int) -> Verdict:
+    """The verdict at |n| != 1, where H1 is Z or Z/|n| with |n| >= 2: never trivial."""
+    h1, h2 = map(str, _homology(n)[1:3])
+    return Verdict("NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {h2} (obstruction {h1})")
+
+
 def surgery_invariants(
     data: PochetteEmbeddingData,
     slope: SlopeSpec,
@@ -238,15 +255,11 @@ def surgery_invariants(
     """Full pipeline: linking number, homology, verdict; pi1 when it is needed."""
     linking = linking_number(data)
     n = slope.p + slope.q * linking
-    homology = surgery_homology(linking, slope)
+    homology = _homology(n)
     pi1: FinitePresentation | None = None
     enumeration: EnumerationVerdict | None = None
     if abs(n) != 1:
-        # H1 is Z or Z/|n| with |n| >= 2, never trivial: it is the obstruction
-        # surgery_homology gives one object for H1 and H2 whenever n != 0
-        h1 = str(homology[1])
-        h2 = h1 if homology[2] is homology[1] else str(homology[2])
-        verdict = Verdict("NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {h2} (obstruction {h1})")
+        verdict = _obstruction(n)
     else:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in
         # about 4p cosets, where the trivial subgroup needs about 2p^2.

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from pochette import cli
+from pochette import cli, surgery
 from pochette.cli import _json, _render_text, _sweep_slopes, main
 
 
-Z6 = str(Path(__file__).parent / "corpus" / "z6.txt")
+CORPUS = Path(__file__).parent / "corpus"
+Z6 = str(CORPUS / "z6.txt")
 # (lo, hi) with lo <= hi; crossing zero, so negative p, p = 0 and q = 0 all occur
 RANGES = st.tuples(st.integers(-7, 7), st.integers(0, 9)).map(lambda t: (t[0], t[0] + t[1]))
 
@@ -72,13 +73,19 @@ class TestJson:
     @example({"\u00e9\n\"\\": ["\u2028", "\x00", "\U0001f600", 2**64 + 1, -(2**70)]})
     @example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300])
     @example({"rows": [{"p": 1, "q": [2, {"r": []}]}, [[[]]]]})
+    # rows of scalars, one of them empty, whose strings spell the text between rows
+    @example({"rows": [{"h1": "},\n      {", "p": None}, {"}": "{", "q": -0.0}]})
+    @example([{"a": 1}, {}, {"b": 2}])
     @settings(max_examples=500, deadline=None)
     def test_matches_json_dumps(self, value):
         assert _json(value) == json.dumps(value, indent=2)
 
     def test_without_the_c_encoder(self, monkeypatch):
         # an interpreter without json's C accelerator encodes in Python
-        value = {"rows": [{"p": 1, "h1": "Z/2", "pi1_index": None}], "x": [1.5, "\u00e9"]}
+        value = {
+            "rows": [{"p": 1, "h1": "Z/2", "pi1_index": None}, {"p": 2, "h1": "Z", "pi1_index": 1}],
+            "x": [1.5, "\u00e9"],
+        }
         monkeypatch.setattr(cli, "c_make_encoder", None)
         cli._scalars_encoder.cache_clear()
         try:
@@ -195,8 +202,16 @@ class TestSurger:
         assert "epsilon_note" in r0
 
 
+def clear_caches():
+    """Empty every per-process cache of a report, so the next query runs as a fresh process's."""
+    for cached in (
+        surgery._homology, surgery._obstruction, cli._group_text, cli._parse, cli._embedding,
+    ):
+        cached.cache_clear()
+
+
 class TestSourceWorkOncePerProcess:
-    """The preset and the last embedding are kept between queries of one process."""
+    """Presets, parsed files and embeddings are kept between queries of one process."""
 
     def test_rewritten_file_is_read_again(self, capsys, tmp_path):
         path = tmp_path / "knot.txt"
@@ -222,6 +237,50 @@ class TestSourceWorkOncePerProcess:
             in_process.pop("wall_ms"), expected.pop("wall_ms")
             assert in_process == expected
 
+    def test_rewritten_sources_parse_again(self, capsys, tmp_path):
+        # a file's parse is keyed by the text read, not by its path
+        presentation, fusion = tmp_path / "group.txt", tmp_path / "knot.fus"
+        sources = (str(presentation), f"fusion:{fusion}")
+        presentation.write_text("gens: x, y\nrels: x^2 ; y^3 ; x y x^-1 y^-1\n")
+        fusion.write_text("n: 1\nband: 1 1 2\n")
+        first = [run_json(capsys, "simplify", source)["before"] for source in sources]
+        presentation.write_text("gens: a, b\nrels: a^4 ; b^6\n")
+        fusion.write_text("n: 1\nband: x2 x1 2 1\n")
+        second = [run_json(capsys, "simplify", source)["before"] for source in sources]
+        assert first == [
+            {"gens": "x, y", "rels": "x^2 ; y^3 ; x y x^-1 y^-1"},
+            {"gens": "x1, x2", "rels": "x1 x2^-1"},
+        ]
+        assert second == [
+            {"gens": "a, b", "rels": "a^4 ; b^6"},
+            {"gens": "x1, x2", "rels": "x2 x1 x2 x1^-1 x2^-1 x1^-1"},
+        ]
+
+    def test_failed_parses_are_not_kept(self, capsys, tmp_path):
+        presentation, fusion = tmp_path / "group.txt", tmp_path / "knot.fus"
+        cases = [
+            (presentation, str(presentation), "gens: x\ngens: y\nrels:\n",
+             "error: line 2: duplicate gens: line\n"),
+            (fusion, f"fusion:{fusion}", "n: 2\nband: x1 1 2\nband: x2 2 1\n",
+             "error: line 3: band graph contains a cycle\n"),
+        ]
+        for path, source, bad_text, error in cases:
+            path.write_text(bad_text)
+            for _ in range(2):
+                assert run_cli(capsys, "abelianize", source) == (2, "", error)
+            path.write_text("n: 1\nband: 1 1 2\n" if path is fusion else "gens: x\nrels: x^3\n")
+            assert run_cli(capsys, "abelianize", source)[0] == 0
+            path.write_text(bad_text)
+            assert run_cli(capsys, "abelianize", source) == (2, "", error)
+
+    def test_alternating_sources_keep_their_embeddings(self, capsys):
+        # a benchmark pass sweeps spun trefoil, then a fusion file, then again
+        clear_caches()
+        for _ in range(2):
+            for source in ("spun-trefoil", f"fusion:{CORPUS / 'fusion10.txt'}"):
+                run_json(capsys, "sweep", source, "--p-range=2:2", "--q-range=1:1")
+        assert (cli._embedding.cache_info().misses, cli._embedding.cache_info().hits) == (2, 2)
+
     def test_errors_are_not_kept(self, capsys):
         for _ in range(2):
             code, _, err = run_cli(
@@ -231,6 +290,52 @@ class TestSourceWorkOncePerProcess:
 
 
 class TestSweep:
+    def test_rows_match_fresh_surger_reports(self, capsys):
+        # one process sweeps three sources of linking -1, -1 and 1 over grids
+        # that reach 0/1, n = 0, |n| = 1 and |n| >= 2; every row must read as
+        # a surger report of its slope in a process with no cache filled
+        grids = [
+            ("spun-trefoil", "0:4", "-3:5"),
+            ("one-fusion:x^-1*y:+1", "0:4", "-3:5"),
+            (f"fusion:{CORPUS / 'fusion10.txt'}", "0:4", "-4:4"),
+        ]
+        sweeps = [
+            (source, run_json(capsys, "sweep", source, f"--p-range={p}", f"--q-range={q}"))
+            for source, p, q in grids
+        ]
+        seen = set()
+        for source, report in sweeps:
+            for row in report["rows"]:
+                clear_caches()
+                fresh = run_json(capsys, "surger", source, f"--slope={row['p']}/{row['q']}")
+                assert row == {
+                    "p": row["p"],
+                    "q": row["q"],
+                    "p_plus_q_ell": fresh["p_plus_q_ell"],
+                    "h1": fresh["homology"][1],
+                    "h2": fresh["homology"][2],
+                    "verdict": fresh["verdict"]["kind"],
+                    "pi1_index": fresh["verdict"]["pi1_index"],
+                }
+                n = row["p_plus_q_ell"]
+                seen.add("0/1" if row["p"] == 0 else min(abs(n), 2))
+        assert seen == {"0/1", 0, 1, 2}
+
+    def test_only_obstructions_are_kept_by_n(self, capsys):
+        # both slopes have p + q*linking = 1, where each group decides its own
+        # verdict: no verdict of one may be served to the other
+        icosahedral = (
+            "surger", str(CORPUS / "icosahedral.txt"), "--meridian=s^-1*t^2",
+            "--longitude=s*t*s*t*s^-3*t^-2*s", "--slope=1/1", "--max-cosets=5000",
+        )
+        trefoil = ("surger", "spun-trefoil", "--slope=2/1")
+        expected = {icosahedral: ("NontrivialPi1", 120), trefoil: ("HomeoS4Certified", 1)}
+        for argv in (icosahedral, trefoil, icosahedral, trefoil):
+            report = run_json(capsys, *argv)
+            verdict = report["verdict"]
+            assert report["p_plus_q_ell"] == 1
+            assert (verdict["kind"], verdict["pi1_index"]) == expected[argv]
+
     def test_one_fusion_p_over_p_plus_one_family(self, capsys):
         report = run_json(
             capsys, "sweep", "one-fusion:x^-1*y:+1",
