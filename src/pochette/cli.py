@@ -21,11 +21,11 @@ and containers of containers are joined by the same indent rules.  Only
 a sweep with more than one job imports the process pool, and with it
 multiprocessing.
 
-A process keeps what its queries share.  A presentation or fusion file
-is parsed once per text, keyed by the text just read, and an embedding
-is built once per value.  Off the S^4 branch a sweep row pays only for
-its p + q*linking: surgery builds its homology and verdict once per
-value, and the row's H1 and H2 text is rendered once per group.
+A process keeps what its queries share.  A fusion file is parsed once
+per text, keyed by the text just read, and an embedding is built once
+per value; a presentation file, which takes no fusion step, parses on
+every read.  Off the S^4 branch a sweep row pays only for its
+p + q*linking: surgery builds its homology and verdict once per value.
 """
 
 from __future__ import annotations
@@ -175,25 +175,24 @@ def _load_source(source: str) -> tuple[FinitePresentation, str, str]:
     if source == "spun-trefoil" or source.startswith("one-fusion:"):
         return load_preset(source), "x", "y"
     if source.startswith("fusion:"):
-        return _parse(_read(source[len("fusion:"):], "fusion"), True), "x1", "x2"
-    return _parse(_read(source, "presentation"), False), "", ""
+        return _fusion(_read(source[len("fusion:"):], "fusion")), "x1", "x2"
+    return parse_presentation(_read(source, "presentation")), "", ""
 
 
-# a process can load the same few sources many times, as a batch of
-# sweeps does; the parse and embedding caches each keep this many
-_SOURCES_KEPT = 32
+# a process loads the same few sources many times: a benchmark pass of
+# sweeps alternates 2 sources, and one of group tools reads 4 fusion
+# files; the fusion and embedding caches each keep this many
+_SOURCES_KEPT = 8
 
 
 @lru_cache(maxsize=_SOURCES_KEPT)
-def _parse(text: str, fusion: bool) -> FinitePresentation:
-    """A file source's presentation, keyed by the text just read.
+def _fusion(text: str) -> FinitePresentation:
+    """A fusion file's presentation, keyed by the text just read.
 
     A file rewritten in place parses again, and a failed parse raises,
     so it is not cached.
     """
-    if fusion:
-        return n_fusion_presentation(parse_fusion_file(text))
-    return parse_presentation(text)
+    return n_fusion_presentation(parse_fusion_file(text))
 
 
 def _presentation_fields(P: FinitePresentation) -> dict:
@@ -299,20 +298,16 @@ def _sweep_slopes(p_range: tuple[int, int], q_range: tuple[int, int]) -> list[tu
     ]
 
 
-# a homology group's text; a sweep's rows share a few groups, one per p + q*linking
-_group_text = lru_cache(maxsize=256)(str)
-
-
 def _sweep_worker(job: tuple) -> dict:
     data, p, q, epsilon, budgets = job
     inv = surgery_invariants(data, SlopeSpec(p, q, epsilon), budgets)
-    h1 = _group_text(inv.homology[1])
+    h1 = str(inv.homology[1])
     return {
         "p": p,
         "q": q,
         "p_plus_q_ell": inv.p_plus_q_ell,
         "h1": h1,
-        "h2": h1 if inv.homology[2] is inv.homology[1] else _group_text(inv.homology[2]),
+        "h2": h1 if inv.homology[2] is inv.homology[1] else str(inv.homology[2]),
         "verdict": inv.verdict.kind,
         "pi1_index": inv.verdict.pi1_index,
     }

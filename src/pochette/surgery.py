@@ -180,7 +180,8 @@ _TRIVIAL = AbelianInvariants.free(0)
 
 
 # n = p + q*linking decides the homology and, off the S^4 branch, the
-# verdict; a sweep meets each n many times, and both values are frozen
+# verdict; a sweep meets each n many times, and both values are frozen.
+# A benchmark pass of sweeps meets 116 distinct n, which 256 entries hold
 @lru_cache(maxsize=256)
 def _homology(n: int) -> tuple[AbelianInvariants, ...]:
     if n == 0:

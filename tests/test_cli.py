@@ -204,9 +204,7 @@ class TestSurger:
 
 def clear_caches():
     """Empty every per-process cache of a report, so the next query runs as a fresh process's."""
-    for cached in (
-        surgery._homology, surgery._obstruction, cli._group_text, cli._parse, cli._embedding,
-    ):
+    for cached in (surgery._homology, surgery._obstruction, cli._fusion, cli._embedding):
         cached.cache_clear()
 
 
@@ -224,6 +222,13 @@ class TestSourceWorkOncePerProcess:
             -1, "y x^-1 y x y^-1 x ; y^2 x",
         )
         assert (second["linking"], second["presentation"]["rels"]) == (1, "x y^-1 ; y^2 x")
+        # a fusion file's parse is kept, keyed by the text read, not by its path
+        fusion = tmp_path / "knot.fus"
+        befores = []
+        for text in ("n: 1\nband: 1 1 2\n", "n: 1\nband: x2 x1 2 1\n"):
+            fusion.write_text(text)
+            befores.append(run_json(capsys, "simplify", f"fusion:{fusion}")["before"]["rels"])
+        assert befores == ["x1 x2^-1", "x2 x1 x2 x1^-1 x2^-1 x1^-1"]
 
     def test_each_longitude_reports_as_a_fresh_process(self, capsys):
         for longitude in ("y", "x y x", "y"):
@@ -237,42 +242,6 @@ class TestSourceWorkOncePerProcess:
             in_process.pop("wall_ms"), expected.pop("wall_ms")
             assert in_process == expected
 
-    def test_rewritten_sources_parse_again(self, capsys, tmp_path):
-        # a file's parse is keyed by the text read, not by its path
-        presentation, fusion = tmp_path / "group.txt", tmp_path / "knot.fus"
-        sources = (str(presentation), f"fusion:{fusion}")
-        presentation.write_text("gens: x, y\nrels: x^2 ; y^3 ; x y x^-1 y^-1\n")
-        fusion.write_text("n: 1\nband: 1 1 2\n")
-        first = [run_json(capsys, "simplify", source)["before"] for source in sources]
-        presentation.write_text("gens: a, b\nrels: a^4 ; b^6\n")
-        fusion.write_text("n: 1\nband: x2 x1 2 1\n")
-        second = [run_json(capsys, "simplify", source)["before"] for source in sources]
-        assert first == [
-            {"gens": "x, y", "rels": "x^2 ; y^3 ; x y x^-1 y^-1"},
-            {"gens": "x1, x2", "rels": "x1 x2^-1"},
-        ]
-        assert second == [
-            {"gens": "a, b", "rels": "a^4 ; b^6"},
-            {"gens": "x1, x2", "rels": "x2 x1 x2 x1^-1 x2^-1 x1^-1"},
-        ]
-
-    def test_failed_parses_are_not_kept(self, capsys, tmp_path):
-        presentation, fusion = tmp_path / "group.txt", tmp_path / "knot.fus"
-        cases = [
-            (presentation, str(presentation), "gens: x\ngens: y\nrels:\n",
-             "error: line 2: duplicate gens: line\n"),
-            (fusion, f"fusion:{fusion}", "n: 2\nband: x1 1 2\nband: x2 2 1\n",
-             "error: line 3: band graph contains a cycle\n"),
-        ]
-        for path, source, bad_text, error in cases:
-            path.write_text(bad_text)
-            for _ in range(2):
-                assert run_cli(capsys, "abelianize", source) == (2, "", error)
-            path.write_text("n: 1\nband: 1 1 2\n" if path is fusion else "gens: x\nrels: x^3\n")
-            assert run_cli(capsys, "abelianize", source)[0] == 0
-            path.write_text(bad_text)
-            assert run_cli(capsys, "abelianize", source) == (2, "", error)
-
     def test_alternating_sources_keep_their_embeddings(self, capsys):
         # a benchmark pass sweeps spun trefoil, then a fusion file, then again
         clear_caches()
@@ -281,12 +250,18 @@ class TestSourceWorkOncePerProcess:
                 run_json(capsys, "sweep", source, "--p-range=2:2", "--q-range=1:1")
         assert (cli._embedding.cache_info().misses, cli._embedding.cache_info().hits) == (2, 2)
 
-    def test_errors_are_not_kept(self, capsys):
-        for _ in range(2):
-            code, _, err = run_cli(
-                capsys, "surger", "spun-trefoil", "--meridian", "x^2", "--slope", "1/2"
-            )
-            assert (code, err) == (2, "error: meridian 'x^2' does not generate the abelianization\n")
+    def test_errors_are_not_kept(self, capsys, tmp_path):
+        fusion = tmp_path / "knot.fus"
+        fusion.write_text("n: 2\nband: x1 1 2\nband: x2 2 1\n")
+        cases = [
+            (("surger", "spun-trefoil", "--meridian", "x^2", "--slope", "1/2"),
+             "error: meridian 'x^2' does not generate the abelianization\n"),
+            (("abelianize", f"fusion:{fusion}"), "error: line 3: band graph contains a cycle\n"),
+        ]
+        for argv, error in cases:
+            for _ in range(2):
+                code, _, err = run_cli(capsys, *argv)
+                assert (code, err) == (2, error)
 
 
 class TestSweep:
