@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
 from .errors import CertificateError
 from .presentations import FinitePresentation, PermutationAssignment
@@ -64,12 +64,7 @@ class AbelianInvariants:
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -70,7 +70,7 @@ from .surgery import (
     surgery_invariants,
     surgery_relator_word,
 )
-from .words import Word, parse_word, word_to_text
+from .words import parse_word, word_to_text
 
 __all__ = ["main"]
 
@@ -119,7 +119,7 @@ def _json(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)`` for a value nested ``depth`` deep.
 
     Its keys must be str and its containers plain dicts, lists and tuples,
-    as a report's are.
+    as a report's are.  It can go when requires-python reaches 3.13.
     """
     kind = type(value)
     if kind not in _CONTAINERS:
@@ -261,10 +261,8 @@ def _run_report(handler, flags: list[argparse.Action], args) -> int:
     return 0
 
 
-@lru_cache(maxsize=_SOURCES_KEPT)
-def _embedding(P: FinitePresentation, meridian: Word, longitude: Word) -> PochetteEmbeddingData:
-    """An embedding, keyed by value: a rewritten file parses to another P."""
-    return PochetteEmbeddingData(P, meridian, longitude)
+# an embedding, keyed by value: a rewritten file parses to another P
+_embedding = lru_cache(maxsize=_SOURCES_KEPT)(PochetteEmbeddingData)
 
 
 def _surger(args, P, budgets, meridian, longitude):

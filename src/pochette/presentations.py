@@ -1,7 +1,9 @@
 """Finite group presentations, their text format, and Tietze simplification.
 
 Relators are kept freely and cyclically reduced, with duplicates (up to
-cyclic permutation and inversion) dropped at construction time.
+cyclic permutation and inversion) dropped at construction time, keyed
+by the least rotation of a relator or of its inverse, found in linear
+time by comparing two candidate starts.
 ``FinitePresentation.encode`` is the kernels' integer letter code, and
 ``assignment_satisfies`` checks the relators in any permutation action.
 """
@@ -40,27 +42,21 @@ __all__ = [
 def _least_rotation(s: tuple) -> tuple:
     """The lexicographically least rotation of s, in O(len(s)).
 
-    Booth's algorithm (K. S. Booth, "Lexicographically least circular
-    substrings", IPL 1980): a Knuth-Morris-Pratt failure function over
-    s + s, restarted whenever a smaller candidate start appears.
+    Two candidate starts i < j are read side by side in s + s.  Every
+    start below j but i is beaten; when the two first differ, k letters
+    in, the larger one's start and the k after it are beaten too.
     """
-    doubled = s + s
-    failure = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if c != doubled[k + i + 1]:  # here i == -1
-            if c < doubled[k]:
-                k = j
-            failure[j - k] = -1
+    n, doubled = len(s), s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j + 1, i + k + 1), 0
         else:
-            failure[j - k] = i + 1
-    return s[k:] + s[:k]
+            j, k = j + k + 1, 0
+    return s[i:] + s[:i]
 
 
 def _relator_key(w: Word) -> tuple:
@@ -69,10 +65,9 @@ def _relator_key(w: Word) -> tuple:
     The least rotation of the (name, sign) sequence of the cyclic
     reduction or of its inverse, whichever is smaller; linear time.
     """
-    r = cyclically_reduce(w)
-    return min(
-        _least_rotation(tuple((g.name, s) for g, s in x.letters)) for x in (r, invert(r))
-    )
+    forward = tuple((g.name, s) for g, s in cyclically_reduce(w).letters)
+    inverse = tuple((name, -s) for name, s in reversed(forward))
+    return min(_least_rotation(forward), _least_rotation(inverse))
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,6 @@ class TietzeResult:
     budget_exhausted: bool
 
 
-def _print_key(w: Word) -> tuple[int, str]:
-    return (len(w), word_to_text(w))
-
-
 def _subword_rewrite(
     P: FinitePresentation, order: list[int]
 ) -> FinitePresentation | None:
@@ -382,7 +373,8 @@ def _generator_elimination(
 def _tietze_move(P: FinitePresentation) -> FinitePresentation | None:
     """P after one Tietze move, a rewrite before an elimination, or None."""
     # both searches scan the relators shortest first, ties by printed text
-    order = sorted(range(len(P.relators)), key=lambda i: _print_key(P.relators[i]))
+    rels = P.relators
+    order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), word_to_text(rels[i])))
     moved = _subword_rewrite(P, order)
     return moved if moved is not None else _generator_elimination(P, order)
 

@@ -42,11 +42,6 @@ __all__ = [
 UNDEF = -1
 
 
-def _compose(a: Perm, b: Perm) -> Perm:
-    """Apply a, then b."""
-    return tuple(b[x] for x in a)
-
-
 def _closure(perms: list[Perm], degree: int) -> set[Perm]:
     identity = tuple(range(degree))
     seen = {identity}
@@ -55,7 +50,7 @@ def _closure(perms: list[Perm], degree: int) -> set[Perm]:
         nxt = []
         for a in frontier:
             for g in perms:
-                b = _compose(a, g)
+                b = tuple(g[x] for x in a)  # a, then g
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)

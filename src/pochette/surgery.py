@@ -7,10 +7,10 @@ number, the homology table, and a 4-sphere verdict.
 
 The homology and the NotHomotopySphere verdict depend only on
 n = p + q*linking.  Both, the verdict's text included, are built once
-per distinct n and kept in bounded per-process caches; the S^4 branch
-|n| = 1 is never cached.  The surgered group is built on demand: at
-once on a homology 4-sphere, where the verdict comes from coset
-enumeration, of the meridian subgroup <m> alone (see
+per distinct n and kept in one bounded per-process cache, which holds
+no verdict for the S^4 branch |n| = 1.  The surgered group is built on
+demand: at once on a homology 4-sphere, where the verdict comes from
+coset enumeration, of the meridian subgroup <m> alone (see
 coset_enum.certify_trivial), and otherwise on the first read of
 SurgeryInvariants.pi1; its relator takes one walk of the slope's
 l-blocks and one free reduction.
@@ -79,12 +79,11 @@ class SlopeSpec:
         p, q = self.p, self.q
         if p == 0 and q == 0:
             raise InputError("slope (0, 0) is not allowed")
-        if gcd(abs(p), abs(q)) != 1:
+        if gcd(p, q) != 1:
             raise InputError(f"slope ({p}, {q}) is not coprime")
         if p < 0 or (p == 0 and q < 0):
-            p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+            object.__setattr__(self, "p", -p)
+            object.__setattr__(self, "q", -q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -183,16 +182,24 @@ _TRIVIAL = AbelianInvariants.free(0)
 # verdict; a sweep meets each n many times, and both values are frozen.
 # A benchmark pass of sweeps meets 116 distinct n, which 256 entries hold
 @lru_cache(maxsize=256)
-def _homology(n: int) -> tuple[AbelianInvariants, ...]:
+def _per_n(n: int) -> tuple[tuple[AbelianInvariants, ...], Verdict | None]:
+    """The homology and, off the S^4 branch |n| = 1, the verdict; None on it."""
     if n == 0:
-        return (_Z, _Z, _Z2, _Z, _Z)
-    h = AbelianInvariants.cyclic(n)  # H1 = H2 = Z/|n|
-    return (_Z, h, h, _TRIVIAL, _Z)
+        homology = (_Z, _Z, _Z2, _Z, _Z)
+    else:
+        h = AbelianInvariants.cyclic(n)  # H1 = H2 = Z/|n|
+        homology = (_Z, h, h, _TRIVIAL, _Z)
+    if abs(n) == 1:
+        return homology, None
+    h1, h2 = map(str, homology[1:3])
+    return homology, Verdict(
+        "NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {h2} (obstruction {h1})"
+    )
 
 
 def surgery_homology(linking: int, slope: SlopeSpec) -> tuple[AbelianInvariants, ...]:
     """Homology H0..H4 of the surgered manifold, from the slope and linking number."""
-    return _homology(slope.p + slope.q * linking)
+    return _per_n(slope.p + slope.q * linking)[0]
 
 
 @dataclass(frozen=True)
@@ -241,27 +248,18 @@ class SurgeryInvariants:
         return self._pi1
 
 
-@lru_cache(maxsize=256)
-def _obstruction(n: int) -> Verdict:
-    """The verdict at |n| != 1, where H1 is Z or Z/|n| with |n| >= 2: never trivial."""
-    h1, h2 = map(str, _homology(n)[1:3])
-    return Verdict("NotHomotopySphere", n, detail=f"H1 = {h1}, H2 = {h2} (obstruction {h1})")
-
-
 def surgery_invariants(
     data: PochetteEmbeddingData,
     slope: SlopeSpec,
     budgets: Budgets = Budgets(),
 ) -> SurgeryInvariants:
     """Full pipeline: linking number, homology, verdict; pi1 when it is needed."""
-    linking = linking_number(data)
+    linking = data.linking
     n = slope.p + slope.q * linking
-    homology = _homology(n)
+    homology, verdict = _per_n(n)
     pi1: FinitePresentation | None = None
     enumeration: EnumerationVerdict | None = None
-    if abs(n) != 1:
-        verdict = _obstruction(n)
-    else:
+    if verdict is None:
         # H1 = 0 here.  On spun trefoil p/(p+1), <m> closes at index 1 in
         # about 4p cosets, where the trivial subgroup needs about 2p^2.
         pi1 = surgery_pi1(data, slope)

@@ -204,7 +204,7 @@ class TestSurger:
 
 def clear_caches():
     """Empty every per-process cache of a report, so the next query runs as a fresh process's."""
-    for cached in (surgery._homology, surgery._obstruction, cli._fusion, cli._embedding):
+    for cached in (surgery._per_n, cli._fusion, cli._embedding):
         cached.cache_clear()
 
 
