@@ -4,7 +4,8 @@ Relators are kept freely and cyclically reduced, with duplicates (up to
 cyclic permutation and inversion) dropped at construction time, keyed
 by the least rotation of a relator or of its inverse, found in linear
 time by comparing two candidate starts.
-``FinitePresentation.encode`` is the kernels' integer letter code, and
+``FinitePresentation.encode`` is the kernels' integer letter code, which
+the Tietze search reads as a string, one character per letter, and
 ``assignment_satisfies`` checks the relators in any permutation action.
 """
 
@@ -296,16 +297,16 @@ def _subword_rewrite(
     u = v^-1 in the group.  An occurrence of u (with len(u) > len(r)/2)
     inside another relator s, read cyclically, can be replaced by v^-1,
     strictly shortening s.  Prefers short sources, long matches, short
-    targets, all in ``order``.
+    targets, all in ``order``.  Relators are read as strings, one
+    character per letter code, and u is found at its smallest start by
+    ``str.find`` in s written twice.
     """
-    doubled = [P.encode(r) * 2 for r in P.relators]
-    lengths = [len(r) for r in P.relators]
-    # cut -> per target, each cyclic substring of that length -> its smallest
-    # start; a table is built on first use and shared by every source and
-    # variant, and stays None for a target that no lookup has reached
-    starts: dict[int, list[dict[tuple[int, ...], int] | None]] = {}
+    texts = ["".join(map(chr, code)) for code in P.relator_codes]
+    doubled = [text * 2 for text in texts]
+    lengths = [len(text) for text in texts]
+    flip = {c: c ^ 1 for c in range(2 * len(P.alphabet))}
     for ri in order:
-        r = P.relators[ri]
+        text = texts[ri]
         targets = [si for si in order if si != ri]
         longest = max((lengths[si] for si in targets), default=0)
         # a match u longer than every other relator cannot occur
@@ -313,27 +314,21 @@ def _subword_rewrite(
         if not cuts:
             continue
         # distinct rotations of r and of r^-1, in first-occurrence order
-        bases = (P.encode(r), P.encode(invert(r)))
+        bases = (text, text[::-1].translate(flip))
         variants = dict.fromkeys(b[k:] + b[:k] for b in bases for k in range(len(b)))
         for cut in cuts:
-            # only a target at least cut long can hold u, in the order given
+            # only a target at least cut long can hold u, in the order given;
+            # a shorter one's doubled text could match it across both copies
             fits = [si for si in targets if lengths[si] >= cut]
-            tables = starts.setdefault(cut, [None] * len(lengths))
             for variant in variants:
                 u = variant[:cut]
                 for si in fits:
-                    table = tables[si]
-                    if table is None:
-                        table = tables[si] = {}
-                        text = doubled[si]
-                        for start in range(lengths[si]):
-                            table.setdefault(text[start : start + cut], start)
-                    start = table.get(u)
-                    if start is not None:
-                        v_inv = tuple(c ^ 1 for c in reversed(variant[cut:]))
+                    start = doubled[si].find(u)
+                    if start >= 0:
+                        v_inv = variant[cut:][::-1].translate(flip)
                         rest = v_inv + doubled[si][start + cut : start + lengths[si]]
                         new = Word(
-                            tuple((P.alphabet[c // 2], -1 if c % 2 else 1) for c in rest)
+                            tuple((P.alphabet[c // 2], -1 if c % 2 else 1) for c in map(ord, rest))
                         )
                         rewritten = P.relators[:si] + (new,) + P.relators[si + 1 :]
                         return FinitePresentation(P.alphabet, rewritten)

@@ -387,6 +387,33 @@ class TestTietzeAgainstOracle:
         P = parse_presentation(f"gens: x, y\nrels: {first} x^2 ; {second} y^3")
         self.check(P, 10)
 
+    @pytest.mark.parametrize(
+        "second, steps, after",
+        [
+            (" ".join(["x y^-1"] * 120) + " y^3", 0, " ".join(["x y^-1"] * 120) + " y^3"),
+            (" ".join(["x y"] * 120) + " y^3", 1, "x^-2 y^3"),
+        ],
+        ids=["no-move", "rewrite"],
+    )
+    def test_two_long_relators_at_ci_size(self, second, steps, after):
+        # the pairs above at k = 120, the size of the CI step, where the
+        # oracle is too slow: the moves are pinned instead
+        first = " ".join(["x y"] * 120) + " x^2"
+        P = parse_presentation(f"gens: x, y\nrels: {first} ; {second}")
+        simplified = parse_presentation(f"gens: x, y\nrels: {first} ; {after}")
+        expected = TietzeResult(simplified, steps, budget_exhausted=False)
+        assert tietze_simplify(P, 1) == expected
+        assert tietze_simplify(P, 10) == expected
+
+    def test_match_wraps_around_the_target(self):
+        # z z, the inverse of the source z^-2, occurs in z x y^-1 z only
+        # across its end, where the cyclic reading joins the last z to the first
+        P = parse_presentation("gens: x, y, z\nrels: z x y^-1 z ; z x^-1 y^-2 x^-1 ; z^-2")
+        rewritten = parse_presentation("gens: x, y, z\nrels: x y^-1 ; z x^-1 y^-2 x^-1 ; z^-2")
+        assert tietze_simplify(P, 1) == TietzeResult(rewritten, 1, budget_exhausted=True)
+        self.check(P, 1)
+        self.check(P, 10)
+
 
 class TestTietze:
     def test_eliminates_to_empty(self):
